@@ -53,15 +53,17 @@ namespace bench {
  * overwritten oldest ones are counted, and a one-line warning is
  * printed at exit. "--trace-tags name,name,..." opts additional event
  * tags into the recording mask on top of the default set (names as
- * printed by xlvm-trace, e.g. memo_hit, dispatch; "all" enables every
+ * printed by xlvm-trace, e.g. dispatch, ir_node; "all" enables every
  * tag) — the high-frequency firehoses are off by default because they
  * flush the ring within milliseconds.
  *
  * Tier policy: "--tier-mode off|tier1|tier2|multi" (or the
  * XLVM_TIER_MODE environment variable; flags win) selects the JIT
- * compilation-tier policy for every run of the sweep. The flag is
- * applied to RunOptions — not just the VM config — so the exported
- * report's config section records the mode that actually ran.
+ * compilation-tier policy for every run of the sweep. This is the one
+ * place either source is read, and an unknown value from either is a
+ * startup error. The mode is applied to RunOptions — not just the VM
+ * config — so the exported report's config section records the mode
+ * that actually ran.
  *
  * Sampling profiler: a repeatable "--profile[:path]" (or --profile=path)
  * flag — or XLVM_PROFILE (1 for the default path, a path otherwise;
@@ -103,8 +105,6 @@ class Session
                      jobs_ == 1 ? "" : "s");
         std::vector<driver::RunOptions> traced = runs;
         for (driver::RunOptions &o : traced) {
-            o.simMemo = simMemo_;
-            o.simSuperblock = simSuperblock_;
             o.tierMode = tierMode_;
             applyRobustness(o);
             if (profiling())
@@ -139,8 +139,6 @@ class Session
     run(const driver::RunOptions &opts)
     {
         driver::RunOptions o = opts;
-        o.simMemo = simMemo_;
-        o.simSuperblock = simSuperblock_;
         o.tierMode = tierMode_;
         applyRobustness(o);
         if (profiling())
@@ -240,21 +238,13 @@ class Session
                 addTraceTags(argv[++i]);
             } else if (std::strncmp(a, "--trace-tags=", 13) == 0) {
                 addTraceTags(a + 13);
-            } else if (std::strcmp(a, "--sim-memo") == 0) {
-                simMemo_ = true;
-            } else if (std::strcmp(a, "--no-sim-memo") == 0) {
-                simMemo_ = false;
-            } else if (std::strcmp(a, "--sim-superblock") == 0) {
-                simSuperblock_ = true;
-            } else if (std::strcmp(a, "--no-sim-superblock") == 0) {
-                simSuperblock_ = false;
             } else if (std::strcmp(a, "--tier-mode") == 0 &&
                        i + 1 < argc) {
-                setTierMode(argv[++i]);
+                setTierMode("--tier-mode", argv[++i]);
             } else if (std::strncmp(a, "--tier-mode=", 12) == 0) {
-                setTierMode(a + 12);
+                setTierMode("--tier-mode", a + 12);
             } else if (std::strncmp(a, "--tier-mode:", 12) == 0) {
-                setTierMode(a + 12);
+                setTierMode("--tier-mode", a + 12);
             } else if (std::strcmp(a, "--profile") == 0) {
                 profilePaths_.push_back("");
             } else if (std::strncmp(a, "--profile:", 10) == 0) {
@@ -303,7 +293,7 @@ class Session
         if (!tierModeSet_) {
             const char *env = std::getenv("XLVM_TIER_MODE");
             if (env && *env)
-                setTierMode(env);
+                setTierMode("XLVM_TIER_MODE", env);
         }
         if (tracePaths_.empty()) {
             const char *env = std::getenv("XLVM_TRACE");
@@ -378,16 +368,17 @@ class Session
         inject_ = spec;
     }
 
-    /** Parse a tier-mode name; a typo is a hard error (a silently
+    /** Parse a tier-mode name from @p source (the flag or the env
+     *  variable); a typo is a hard error from either (a silently
      *  defaulted mode would gate the wrong golden set in CI). */
     void
-    setTierMode(const char *name)
+    setTierMode(const char *source, const char *name)
     {
         if (!vm::tierModeFromString(name, &tierMode_)) {
             std::fprintf(stderr,
-                         "--tier-mode: unknown mode '%s' (want "
+                         "%s: unknown mode '%s' (want "
                          "off|tier1|tier2|multi)\n",
-                         name);
+                         source, name);
             std::exit(2);
         }
         tierModeSet_ = true;
@@ -428,14 +419,6 @@ class Session
 
     std::vector<report::ReportTarget> targets_;
     unsigned jobs_;
-    /** "--sim-memo"/"--no-sim-memo": sim-layer block memoization (a
-     *  host-side accelerator; modeled counters are invariant, so CI
-     *  runs the golden gate under both settings). */
-    bool simMemo_ = true;
-    /** "--sim-superblock"/"--no-sim-superblock": trace-level superblock
-     *  replay on top of block memoization (same invariance contract;
-     *  the golden gate also runs with it off). */
-    bool simSuperblock_ = true;
     /** "--tier-mode"/XLVM_TIER_MODE: JIT compilation-tier policy. */
     vm::TierMode tierMode_ = vm::TierMode::Tier2;
     bool tierModeSet_ = false;

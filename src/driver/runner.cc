@@ -1,12 +1,10 @@
 #include "driver/runner.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "common/logging.h"
 #include "minipy/compiler.h"
-#include "sim/block_memo.h"
 #include "minipy/interp.h"
 #include "minirkt/compiler.h"
 #include "vm/context.h"
@@ -34,29 +32,6 @@ vmKindName(VmKind k)
 }
 
 namespace {
-
-/** XLVM_TIER_MODE env hatch: overrides RunOptions::tierMode when set
- *  (same precedence as the other escape hatches; unknown values warn
- *  once and are ignored so a typo cannot silently change the mode). */
-vm::TierMode
-tierModeWithEnv(vm::TierMode from_opts)
-{
-    const char *e = std::getenv("XLVM_TIER_MODE");
-    if (!e || !*e)
-        return from_opts;
-    vm::TierMode m;
-    if (vm::tierModeFromString(e, &m))
-        return m;
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "xlvm: XLVM_TIER_MODE='%s' unknown (want "
-                     "off|tier1|tier2|multi), ignored\n",
-                     e);
-    }
-    return from_opts;
-}
 
 /** XLVM_INJECT env hatch: overrides RunOptions::inject when set (the
  *  same precedence as the other hatches; "none"/"off" disarm, useful
@@ -106,7 +81,7 @@ configFor(const RunOptions &opts)
     cfg.jit.optHeapCache = opts.optHeapCache;
     cfg.jit.optElideGuards = opts.optElideGuards;
     cfg.jit.optFoldConstants = opts.optFoldConstants;
-    cfg.jit.tierMode = tierModeWithEnv(opts.tierMode);
+    cfg.jit.tierMode = opts.tierMode;
     cfg.jit.tier1Threshold = opts.tier1Threshold;
     cfg.jit.tier2Threshold = opts.tier2Threshold;
     if (cfg.jit.tierMode == vm::TierMode::Off)
@@ -125,8 +100,6 @@ configFor(const RunOptions &opts)
         if (!probe.configure(cfg.inject, &err))
             throw std::invalid_argument("bad --inject spec: " + err);
     }
-    cfg.core.simMemo = opts.simMemo;
-    cfg.core.simSuperblock = opts.simSuperblock;
     cfg.maxInstructions = opts.maxInstructions;
     cfg.phaseTimelineBin = opts.timelineBin;
     cfg.workSampleInstrs = opts.workSampleInstrs;
@@ -176,26 +149,6 @@ collect(vm::VmContext &ctx, RunResult &out)
     out.icacheMisses = ctx.core.icacheUnit().misses();
     out.dcacheHits = ctx.core.dcacheUnit().hits();
     out.dcacheMisses = ctx.core.dcacheUnit().misses();
-
-    sim::MemoStats ms = ctx.core.memoStats();
-    out.memoBlocksCached = ms.blocksCached;
-    out.memoHits = ms.hits;
-    out.memoMisses = ms.misses;
-    out.memoInvalidations = ms.invalidations;
-    out.memoReplayedInstructions = ms.replayedInstructions;
-    out.memoReplayedCyclesFp = ms.replayedCyclesFp;
-    out.memoHitRate = ms.hitRate();
-
-    sim::SuperblockStats sb = ctx.core.superblockStats();
-    out.sbSegmentsCached = sb.segmentsCached;
-    out.sbHits = sb.hits;
-    out.sbMisses = sb.misses;
-    out.sbInvalidations = sb.invalidations;
-    out.sbDivergences = sb.divergences;
-    out.sbIterations = sb.iterations;
-    out.sbReplayedInstructions = sb.replayedInstructions;
-    out.sbReplayedCyclesFp = sb.replayedCyclesFp;
-    out.sbHitRate = sb.hitRate();
 
     const gc::Heap::HeapStats &hs = ctx.heap.stats();
     out.gcAllocations = hs.allocations;

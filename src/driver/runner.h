@@ -51,14 +51,10 @@ struct RunOptions
     /** Superinstruction fusion in the trace execution engine (host
      *  dispatch only; modeled counters are invariant). */
     bool jitFuseMicroOps = true;
-    /** Basic-block cost memoization in the simulated core (host-side
-     *  replay only; modeled counters are invariant — CI gates the
-     *  goldens with it both on and off). XLVM_NO_SIM_MEMO overrides. */
+    /** Read by nothing in the simulator: perfbench/ is their only user
+     *  and copies them into sim::CoreParams. They named the sim replay
+     *  layers, which were removed (DESIGN.md section 7). */
     bool simMemo = true;
-    /** Trace-level superblock replay + batched sweep on top of the
-     *  block memo (host-side only; modeled counters are invariant — CI
-     *  gates the goldens with it on and off). Requires simMemo; the
-     *  XLVM_NO_SIM_SUPERBLOCK env hatch overrides it to off. */
     bool simSuperblock = true;
     /** Optimizer ablation toggles. */
     bool optVirtualize = true;
@@ -69,7 +65,8 @@ struct RunOptions
      * Compilation-tier policy (vm::TierMode). Tier2 is the pre-tiering
      * default; Tier1/Multi compile raw traces at tier1Threshold without
      * the optimizer, Multi promotes at tier2Threshold executions. The
-     * XLVM_TIER_MODE env hatch overrides (off|tier1|tier2|multi).
+     * runner uses this field as given; the bench harness (bench_common.h)
+     * is the one place that reads XLVM_TIER_MODE.
      */
     vm::TierMode tierMode = vm::TierMode::Tier2;
     uint32_t tier1Threshold = 130;
@@ -182,25 +179,17 @@ struct RunResult
     uint64_t dcacheHits = 0;
     uint64_t dcacheMisses = 0;
 
-    // Sim-layer block memoization (host-side; schema v3 sim_memo).
-    uint64_t memoBlocksCached = 0;
+    // Always 0 and set by nothing: perfbench/ is their only user and
+    // sums them. They counted the removed sim replay layers' work
+    // (DESIGN.md section 7).
     uint64_t memoHits = 0;
     uint64_t memoMisses = 0;
     uint64_t memoInvalidations = 0;
     uint64_t memoReplayedInstructions = 0;
-    uint64_t memoReplayedCyclesFp = 0;
-    double memoHitRate = 0.0;
-
-    // Sim-layer superblock replay (host-side; schema v5 sim_superblock).
-    uint64_t sbSegmentsCached = 0;
     uint64_t sbHits = 0;
     uint64_t sbMisses = 0;
-    uint64_t sbInvalidations = 0;
     uint64_t sbDivergences = 0;
-    uint64_t sbIterations = 0;
     uint64_t sbReplayedInstructions = 0;
-    uint64_t sbReplayedCyclesFp = 0;
-    double sbHitRate = 0.0;
 
     // GC heap / object-space level (metrics reports).
     uint64_t gcAllocations = 0;

@@ -113,7 +113,7 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     uint64_t codePc = 0;
     std::vector<RtVal> regs;
     RtVal *R = nullptr;
-    std::vector<RtVal> scratch; ///< self-jump staging (reads then writes)
+    std::vector<RtVal> scratch; ///< jump staging (reads then writes)
     bool pendingOverflow = false;
     uint64_t steps = 0;
     DeoptResult deoptOut;
@@ -239,7 +239,7 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     // leave (nested run()s save/restore recursively through this local).
     const uint64_t prevCtx = core.profileContext();
 
-    auto enterTrace = [&](Trace *target, std::vector<RtVal> &&in) {
+    auto enterTrace = [&](Trace *target, const std::vector<RtVal> &in) {
         if (target->tier != curTier)
             tierFlush(target->tier);
         core.setProfileContext(sim::sampleCtxPack(
@@ -264,24 +264,6 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
         for (uint32_t k = 0; k < prog->numConsts; ++k)
             R[prog->constBase + k] = cs[k];
         codePc = target->codePc;
-        // Announce the program's baked emission stream to the sim
-        // layer: the superblock sweep arms against it at the next
-        // boundary (sim/block_memo.h). The view holds raw pointers into
-        // prog->sim, which outlives the run (programs persist in the
-        // backend until re-lowering, and re-lowering changes streamId).
-        {
-            const jit::SimStream &ss = prog->sim;
-            sim::StreamView sv;
-            sv.sigs = ss.sigs.data();
-            sv.pcOff = ss.pcOff.data();
-            sv.memIdx = ss.memIdx.data();
-            sv.nRecs = uint32_t(ss.sigs.size());
-            sv.nMem = uint32_t(ss.memIdx.size());
-            sv.codePc = codePc;
-            sv.streamId = ss.streamId;
-            sv.eligible = ss.memoEligible;
-            core.memoSetStream(sv);
-        }
         ++target->executions;
     };
 
@@ -290,21 +272,14 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
         e.annot(xlayer::kTraceEnter, trace.id);
         e.annot(xlayer::kPhaseEnter, uint32_t(xlayer::Phase::Jit));
     }
-    enterTrace(&trace, std::move(inputs));
+    enterTrace(&trace, inputs);
     active.push_back(Level{t, &regs});
-    // Memoizable region: everything emitted from here to leave() runs
-    // under the sim layer's block-memo session (nested run()s stack).
-    core.memoSessionBegin(prog->sim.estRecords);
 
-    // Latency metering anchors. Both read the counters at points where
-    // the replay layers are fully caught up (session begin here, the
-    // memo boundary at each back-edge, session end at leave), so the
-    // recorded distributions are invariant under memo/superblock replay.
+    // Latency metering anchors: trace entry here, each back-edge below.
     const uint64_t entryFp = core.totalCyclesFp();
     uint64_t iterStartFp = entryFp;
 
     auto leave = [&](DeoptResult &&res) {
-        core.memoSessionEnd();
         execHist_.record((core.totalCyclesFp() - entryFp) / sim::kCycleFp);
         active.pop_back();
         tierFlush(0);
@@ -368,7 +343,7 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
                                                 m.guardIdx);
                 return true;
             }
-            enterTrace(bridge, std::move(bridgeIn));
+            enterTrace(bridge, bridgeIn);
             active.back().trace = t;
             return false;
         }
@@ -376,6 +351,103 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
             hotGuards.emplace_back(t->id, m.guardIdx);
         deoptOut = blackholeMaterialize(space, *t, snap, regs, m.guardIdx);
         return true;
+    };
+
+    /**
+     * call_assembler: run the inner trace, then either write its exit
+     * values into this trace's registers (returns false; the caller
+     * dispatches the next op) or fill deoptOut with the full interpreter
+     * state (returns true; the caller leaves). The body lives here, out
+     * of line, because its locals own heap memory (the inner inputs and
+     * deopt state) and a handler may hold no such local: handlers leave
+     * their scope through a computed goto (NEXT), on which GCC runs no
+     * destructors, so the local would leak on every execution.
+     */
+    auto callAssembler = [&](const MicroOp &m) -> bool {
+        const uint64_t pc = codePc + m.pcOff;
+        sim::BlockEmitter e(core, pc);
+        if (annotate && m.nodeId >= 0)
+            e.annot(xlayer::kIrNode, uint32_t(m.nodeId));
+        const uint32_t n = m.callInsts;
+        e.alu(n / 2 - 1);
+        Trace *inner = registry.byId(m.aux);
+        e.call(inner->codePc);
+        const jit::Snapshot &snap = t->snapshots[m.snapshotIdx];
+        std::vector<RtVal> innerIn;
+        innerIn.reserve(m.extraLen);
+        {
+            const uint32_t *ax = prog->extra.data() + m.extraOff;
+            for (uint32_t i = 0; i < m.extraLen; ++i)
+                innerIn.push_back(R[ax[i]]);
+        }
+        // On an unexpected inner exit the full interpreter state is
+        // the call's recorded outer-frame snapshot (frames[2..])
+        // plus whatever the inner execution reports.
+        auto outerFrames = [&]() {
+            jit::Snapshot outerSnap;
+            outerSnap.frames.assign(snap.frames.begin() + 2,
+                                    snap.frames.end());
+            return materializeState(space, *t, outerSnap, regs);
+        };
+        if (runDepth >= 16) {
+            // Mutually recursive call_assembler chains are bounded
+            // here: the call arguments ARE the inner loop's anchor
+            // frame state, so deoptimize straight to it and let the
+            // interpreter make progress.
+            deoptOut = outerFrames();
+            deoptOut.traceId = t->id;
+            FrameState fs;
+            fs.code = inner->anchorCode;
+            fs.pc = inner->anchorPc;
+            for (size_t i = 0; i < innerIn.size(); ++i) {
+                W_Object *w = asObj(innerIn[i]);
+                if (i < inner->anchorNumLocals)
+                    fs.locals.push_back(w);
+                else
+                    fs.stack.push_back(w);
+            }
+            deoptOut.frames.push_back(std::move(fs));
+            return true;
+        }
+        ++runDepth;
+        DeoptResult innerState = run(*inner, std::move(innerIn));
+        --runDepth;
+        // The nested run flushed tier attribution and closed with tier
+        // 0; cycles from here on belong to this (outer) trace's tier.
+        curTier = t->tier;
+        sim::BlockEmitter e2(core, pc + (n / 2 + 1) * 4);
+        e2.ret(pc + (n / 2) * 4);
+        e2.alu(n - n / 2 - 2);
+
+        // Validate the expected exit contract.
+        const jit::FrameSnapshot &outs = snap.frames[1];
+        bool match = innerState.frames.size() == 1 &&
+                     innerState.frames[0].code == outs.code &&
+                     innerState.frames[0].pc == uint32_t(m.expect) &&
+                     innerState.frames[0].locals.size() ==
+                         outs.locals.size() &&
+                     innerState.frames[0].stack.size() ==
+                         outs.stack.size();
+        if (!match) {
+            deoptOut = outerFrames();
+            deoptOut.traceId = innerState.traceId;
+            for (FrameState &fs : innerState.frames)
+                deoptOut.frames.push_back(std::move(fs));
+            return true;
+        }
+        for (size_t i = 0; i < outs.locals.size(); ++i) {
+            if (outs.locals[i] >= 0) {
+                R[outs.locals[i]] =
+                    RtVal::fromRef(innerState.frames[0].locals[i]);
+            }
+        }
+        for (size_t i = 0; i < outs.stack.size(); ++i) {
+            if (outs.stack[i] >= 0) {
+                R[outs.stack[i]] =
+                    RtVal::fromRef(innerState.frames[0].stack[i]);
+            }
+        }
+        return false;
     };
 
     // Runaway backstop. A trace is a linear program: execution cannot
@@ -395,6 +467,9 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
 #define DISPATCH() goto dispatch_loop
 #endif
 
+// DISPATCH leaves a handler's scope through a computed goto, on which
+// GCC runs no destructors: a handler may hold no local that owns memory
+// (callAssembler above shows the out-of-line alternative).
 #define NEXT()                                                          \
     do {                                                                \
         ++mop;                                                          \
@@ -464,14 +539,8 @@ dispatch_loop:
     OP(Jump) : {
         BEGIN();
         e.jump(codePc);
-        // Loop back-edge: the block-memo/superblock unit of replay.
-        // Must run before a cross-trace enterTrace announces the next
-        // stream — the boundary closes this iteration (full-cursor
-        // sweep checkpoint) so the handover disarms cleanly.
-        core.memoBoundary();
         {
-            // Back-edge-to-back-edge latency, counters fully caught up
-            // by the boundary above.
+            // Back-edge-to-back-edge latency.
             const uint64_t nowFp = core.totalCyclesFp();
             iterHist_.record((nowFp - iterStartFp) / sim::kCycleFp);
             iterStartFp = nowFp;
@@ -489,21 +558,17 @@ dispatch_loop:
             t->promotionRequested = true;
             pendingPromotions.push_back(t->id);
         }
+        // Stage reads before overwriting the inputs.
+        scratch.resize(n);
+        for (uint32_t i = 0; i < n; ++i)
+            scratch[i] = R[ax[i]];
         if (mop->aux == 0) {
-            // Self loop: stage reads before overwriting the inputs.
             XLVM_ASSERT(n == t->numInputs, "jump arity mismatch");
-            scratch.resize(n);
-            for (uint32_t i = 0; i < n; ++i)
-                scratch[i] = R[ax[i]];
             for (uint32_t i = 0; i < n; ++i)
                 R[i] = scratch[i];
             ++t->executions;
         } else {
-            std::vector<RtVal> next;
-            next.reserve(n);
-            for (uint32_t i = 0; i < n; ++i)
-                next.push_back(R[ax[i]]);
-            enterTrace(registry.byId(mop->aux - 1), std::move(next));
+            enterTrace(registry.byId(mop->aux - 1), scratch);
             active.back().trace = t;
         }
         RESTART();
@@ -992,105 +1057,8 @@ dispatch_loop:
     }
 
     OP(CallAssembler) : {
-        const uint64_t pc = codePc + mop->pcOff;
-        sim::BlockEmitter e(core, pc);
-        if (annotate && mop->nodeId >= 0)
-            e.annot(xlayer::kIrNode, uint32_t(mop->nodeId));
-        const uint32_t n = mop->callInsts;
-        e.alu(n / 2 - 1);
-        Trace *inner = registry.byId(mop->aux);
-        e.call(inner->codePc);
-        const jit::Snapshot &snap = t->snapshots[mop->snapshotIdx];
-        std::vector<RtVal> innerIn;
-        innerIn.reserve(mop->extraLen);
-        {
-            const uint32_t *ax = prog->extra.data() + mop->extraOff;
-            for (uint32_t i = 0; i < mop->extraLen; ++i)
-                innerIn.push_back(R[ax[i]]);
-        }
-        // On an unexpected inner exit the full interpreter state is
-        // the call's recorded outer-frame snapshot (frames[2..])
-        // plus whatever the inner execution reports.
-        auto outerFrames = [&]() {
-            jit::Snapshot outerSnap;
-            outerSnap.frames.assign(snap.frames.begin() + 2,
-                                    snap.frames.end());
-            return materializeState(space, *t, outerSnap, regs);
-        };
-        if (runDepth >= 16) {
-            // Mutually recursive call_assembler chains are bounded
-            // here: the call arguments ARE the inner loop's anchor
-            // frame state, so deoptimize straight to it and let the
-            // interpreter make progress.
-            DeoptResult st = outerFrames();
-            st.traceId = t->id;
-            FrameState fs;
-            fs.code = inner->anchorCode;
-            fs.pc = inner->anchorPc;
-            for (size_t i = 0; i < innerIn.size(); ++i) {
-                W_Object *w = asObj(innerIn[i]);
-                if (i < inner->anchorNumLocals)
-                    fs.locals.push_back(w);
-                else
-                    fs.stack.push_back(w);
-            }
-            st.frames.push_back(std::move(fs));
-            return leave(std::move(st));
-        }
-        ++runDepth;
-        DeoptResult innerState = run(*inner, std::move(innerIn));
-        --runDepth;
-        // The nested run flushed tier attribution and closed with tier
-        // 0; cycles from here on belong to this (outer) trace's tier.
-        curTier = t->tier;
-        // The nested run announced its own stream view; re-announce the
-        // outer program's so the next boundary can never arm the sweep
-        // against the inner trace's record stream.
-        {
-            const jit::SimStream &ss = prog->sim;
-            sim::StreamView sv;
-            sv.sigs = ss.sigs.data();
-            sv.pcOff = ss.pcOff.data();
-            sv.memIdx = ss.memIdx.data();
-            sv.nRecs = uint32_t(ss.sigs.size());
-            sv.nMem = uint32_t(ss.memIdx.size());
-            sv.codePc = codePc;
-            sv.streamId = ss.streamId;
-            sv.eligible = ss.memoEligible;
-            core.memoSetStream(sv);
-        }
-        sim::BlockEmitter e2(core, pc + (n / 2 + 1) * 4);
-        e2.ret(pc + (n / 2) * 4);
-        e2.alu(n - n / 2 - 2);
-
-        // Validate the expected exit contract.
-        const jit::FrameSnapshot &outs = snap.frames[1];
-        bool match = innerState.frames.size() == 1 &&
-                     innerState.frames[0].code == outs.code &&
-                     innerState.frames[0].pc == uint32_t(mop->expect) &&
-                     innerState.frames[0].locals.size() ==
-                         outs.locals.size() &&
-                     innerState.frames[0].stack.size() ==
-                         outs.stack.size();
-        if (!match) {
-            DeoptResult full = outerFrames();
-            full.traceId = innerState.traceId;
-            for (FrameState &fs : innerState.frames)
-                full.frames.push_back(std::move(fs));
-            return leave(std::move(full));
-        }
-        for (size_t i = 0; i < outs.locals.size(); ++i) {
-            if (outs.locals[i] >= 0) {
-                R[outs.locals[i]] =
-                    RtVal::fromRef(innerState.frames[0].locals[i]);
-            }
-        }
-        for (size_t i = 0; i < outs.stack.size(); ++i) {
-            if (outs.stack[i] >= 0) {
-                R[outs.stack[i]] =
-                    RtVal::fromRef(innerState.frames[0].stack[i]);
-            }
-        }
+        if (callAssembler(*mop))
+            return leave(std::move(deoptOut));
         NEXT();
     }
 

@@ -63,16 +63,9 @@ enum AnnotTag : uint32_t
     /** Application level: user-defined event. payload = event id. */
     kAppEvent = 15,
 
-    /**
-     * Sim level: block-memoization telemetry. Unlike the tags above these
-     * are not carried by Annot instructions (that would perturb the very
-     * counters memoization must preserve); they arrive out of band via
-     * AnnotSink::onMemoEvent and are only delivered to listeners that
-     * opt in with wantsMemoEvents(). payload = hash of the block key.
-     */
-    kMemoHit = 16,
-    kMemoInvalidate = 17,
-    kMemoMiss = 18,
+    // 16-18, 21 and 22 carried the removed sim replay layers' telemetry.
+    // They stay unassigned: reusing one would change what that tag means
+    // in traces recorded before the removal.
 
     /**
      * Framework level: multi-tier JIT lifecycle. kTier1Compile marks a
@@ -83,16 +76,6 @@ enum AnnotTag : uint32_t
      */
     kTierUp = 19,
     kTier1Compile = 20,
-
-    /**
-     * Sim level: superblock-replay telemetry (same out-of-band channel
-     * as the kMemo* tags). kSuperblockHit marks one whole-segment
-     * counter-delta replay, kSuperblockDiverge marks a sweep that had to
-     * fall back to live stepping mid-iteration. payload = hash of the
-     * stream's codePc.
-     */
-    kSuperblockHit = 21,
-    kSuperblockDiverge = 22,
 
     /**
      * Framework level: fault containment (schema v7). kTraceAborted

@@ -41,6 +41,29 @@ hexiom2At130(vm::TierMode mode)
 }
 
 /**
+ * OPEN — ROADMAP "go aborts in multi-tier mode at the differential
+ * thresholds": go at scale 7 with loop/bridge thresholds 25/12 (the
+ * tests/test_workloads.cc JIT-vs-interpreter configuration) dies in
+ * multi mode with the default tier thresholds (130/100) on "pop index
+ * out of range" in the object space. The same program completes with
+ * the interpreter's output in tier1 and tier2, in multi with promotion
+ * out of reach (tier2Threshold 10^6), and in multi with tier1Threshold
+ * 60, 100 or 200, so the promotion path is implicated. Every other
+ * pypy-suite workload agrees in both modes at 25/12.
+ */
+TEST(KnownIssuesDeathTest, GoMultiTierAbortsOnPopIndex)
+{
+    driver::RunOptions o;
+    o.workload = "go";
+    o.vm = driver::VmKind::PyPyJit;
+    o.scale = 7;
+    o.loopThreshold = 25;
+    o.bridgeThreshold = 12;
+    o.tierMode = vm::TierMode::Multi;
+    EXPECT_DEATH(driver::runWorkload(o), "pop index out of range");
+}
+
+/**
  * CLOSED — ROADMAP "Latent recording bug at high loop thresholds":
  * hexiom2 used to die with a type-confusion panic ("unsupported []= on
  * int") when the trace threshold was exactly 130, in every tier mode.

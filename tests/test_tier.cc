@@ -8,16 +8,18 @@
  * execution count crosses tier2Threshold, and Tier2 (the default)
  * reproduces the pre-tiering pipeline exactly. Mechanically, promotion
  * must be safe against everything that can race it: a guard-side bridge
- * getting hot while the promotion is pending, sim-layer memo records
- * tombstoned by the arena moving on, and parallel sweeps interleaving
- * runs. The tests here pin both halves, plus the XLVM_TIER_MODE env
- * hatch and the degenerate threshold==0 configurations.
+ * getting hot while the promotion is pending, and parallel sweeps
+ * interleaving runs. The tests here pin both halves, plus how the bench
+ * harness picks the mode (--tier-mode vs XLVM_TIER_MODE) and the
+ * degenerate threshold==0 configurations.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 
+#include "bench_common.h"
 #include "driver/parallel.h"
 #include "driver/runner.h"
 #include "xlayer/annot.h"
@@ -219,32 +221,6 @@ TEST(TierRace, PromotionCoexistsWithHotGuardBridges)
     expectModeledCountersIdentical(a, b);
 }
 
-// ---- promotion vs. sim-layer memoization ------------------------------
-
-TEST(TierMemo, PromotionAfterTombstonedMemoRecordsStaysExact)
-{
-    // Promotion re-lowers a trace into fresh code-arena space; the memo
-    // entries recorded against the baseline body are never re-keyed —
-    // they are simply abandoned (tombstoned by icache pressure) while
-    // the optimized body records anew. Modeled counters must stay
-    // bit-identical with memoization on or off through that turnover.
-    driver::RunOptions o = baseOptions("crypto_pyaes", 60);
-    o.tierMode = vm::TierMode::Multi;
-
-    driver::RunOptions memoOn = o;
-    memoOn.simMemo = true;
-    driver::RunOptions memoOff = o;
-    memoOff.simMemo = false;
-
-    driver::RunResult a = driver::runWorkload(memoOn);
-    driver::RunResult b = driver::runWorkload(memoOff);
-
-    expectModeledCountersIdentical(a, b);
-    EXPECT_GT(a.tierPromotions, 0u);
-    EXPECT_GT(a.memoHits, 0u);
-    EXPECT_EQ(b.memoHits, 0u);
-}
-
 // ---- parallel sweeps --------------------------------------------------
 
 TEST(TierParallel, PerTierCountersInvariantAcrossJobs)
@@ -268,35 +244,50 @@ TEST(TierParallel, PerTierCountersInvariantAcrossJobs)
     }
 }
 
-// ---- env hatch --------------------------------------------------------
+// ---- mode selection in the bench harness ------------------------------
 
-TEST(TierEnv, EnvHatchOverridesRunOptions)
+/** A bench::Session built from @p args, as a bench binary would be. */
+std::unique_ptr<bench::Session>
+harness(std::vector<const char *> args)
 {
-    driver::RunOptions o = baseOptions("crypto_pyaes", 40);
-    // Options say default; the env hatch forces multi.
-    o.tierMode = vm::TierMode::Tier2;
-    setenv("XLVM_TIER_MODE", "multi", 1);
-    driver::RunResult viaEnv = driver::runWorkload(o);
-    unsetenv("XLVM_TIER_MODE");
-
-    driver::RunOptions m = o;
-    m.tierMode = vm::TierMode::Multi;
-    driver::RunResult viaOpts = driver::runWorkload(m);
-
-    expectModeledCountersIdentical(viaEnv, viaOpts);
-    EXPECT_GT(viaEnv.tierPromotions, 0u);
+    args.insert(args.begin(), "test_tier");
+    args.push_back("--jobs");
+    args.push_back("1");
+    return std::make_unique<bench::Session>(
+        "test_tier", int(args.size()), const_cast<char **>(args.data()));
 }
 
-TEST(TierEnv, UnknownEnvValueIsIgnored)
+TEST(TierEnv, HarnessFlagWinsAndReportsModeThatRan)
 {
-    driver::RunOptions o = baseOptions("crypto_pyaes", 40);
+    // The harness is the one place XLVM_TIER_MODE is read. An unknown
+    // value is a startup error whichever source it comes from.
+    EXPECT_EXIT(harness({"--tier-mode", "bogus"}),
+                testing::ExitedWithCode(2),
+                "--tier-mode: unknown mode 'bogus'");
     setenv("XLVM_TIER_MODE", "bogus", 1);
-    driver::RunResult viaEnv = driver::runWorkload(o);
-    unsetenv("XLVM_TIER_MODE");
+    EXPECT_EXIT(harness({}), testing::ExitedWithCode(2),
+                "XLVM_TIER_MODE: unknown mode 'bogus'");
 
-    driver::RunResult plain = driver::runWorkload(o);
-    expectModeledCountersIdentical(viaEnv, plain);
-    EXPECT_EQ(viaEnv.tier1Compiles, 0u);
+    // The flag beats the env; the run and its report use the flag's mode.
+    setenv("XLVM_TIER_MODE", "multi", 1);
+    std::unique_ptr<bench::Session> s = harness({"--tier-mode", "tier1"});
+    driver::RunOptions o = baseOptions("crypto_pyaes", 40);
+    std::vector<driver::RunResult> res = s->sweep({o});
+    unsetenv("XLVM_TIER_MODE");
+    ASSERT_EQ(res.size(), 1u);
+
+    driver::RunOptions t1 = o;
+    t1.tierMode = vm::TierMode::Tier1;
+    expectModeledCountersIdentical(res[0], driver::runWorkload(t1));
+    EXPECT_GT(res[0].tier1Compiles, 0u);
+    EXPECT_EQ(res[0].tierPromotions, 0u);
+
+    report::Json doc = s->registry.toJson();
+    const report::Json &run = doc.get("runs")->items().at(0);
+    const report::Json *mode =
+        run.get("metrics")->get("config")->get("tier_mode");
+    ASSERT_NE(mode, nullptr);
+    EXPECT_EQ(mode->asUInt(), uint64_t(vm::TierMode::Tier1));
 }
 
 } // namespace
