@@ -12,9 +12,12 @@
 #define XLVM_BENCH_COMMON_H
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,12 +78,18 @@ namespace bench {
  * --report export are byte-identical with profiling on or off.
  *
  * Fault injection / containment: "--inject site[:nth],..." (or the
- * XLVM_INJECT environment variable, applied by the runner; flags win)
- * arms the deterministic fault engine for every run — a malformed spec
- * is a hard error at startup. "--storm-threshold N",
- * "--blacklist-cooldown N", "--compile-budget N" and "--max-traces N"
- * tune the deopt-storm blacklist, the per-trace compile budget and the
- * trace-cache capacity (0 = unlimited for the latter two).
+ * XLVM_INJECT environment variable; flags win) arms the deterministic
+ * fault engine for every run. This is the one place either source is
+ * read, and a malformed spec from either is a startup error.
+ * "--storm-threshold N", "--blacklist-cooldown N", "--compile-budget N"
+ * and "--max-traces N" tune the deopt-storm blacklist, the per-trace
+ * compile budget and the trace-cache capacity (0 = unlimited for the
+ * latter two).
+ *
+ * Every numeric flag (those four, --trace-buffer-events and
+ * --profile-interval), in either spelling ("--flag N" or "--flag=N"),
+ * takes plain decimal digits in its type's range; anything else is a
+ * startup error naming the flag.
  */
 class Session
 {
@@ -221,28 +230,21 @@ class Session
     {
         for (int i = 1; i < argc; ++i) {
             const char *a = argv[i];
+            const char *v = nullptr;
             if (std::strcmp(a, "--trace") == 0) {
                 tracePaths_.push_back("");
             } else if (std::strncmp(a, "--trace:", 8) == 0) {
                 tracePaths_.push_back(a + 8);
             } else if (std::strncmp(a, "--trace=", 8) == 0) {
                 tracePaths_.push_back(a + 8);
-            } else if (std::strcmp(a, "--trace-buffer-events") == 0 &&
-                       i + 1 < argc) {
-                traceBufferEvents_ = std::strtoull(argv[++i], nullptr, 10);
-            } else if (std::strncmp(a, "--trace-buffer-events=", 22) ==
-                       0) {
-                traceBufferEvents_ = std::strtoull(a + 22, nullptr, 10);
-            } else if (std::strcmp(a, "--trace-tags") == 0 &&
-                       i + 1 < argc) {
-                addTraceTags(argv[++i]);
-            } else if (std::strncmp(a, "--trace-tags=", 13) == 0) {
-                addTraceTags(a + 13);
-            } else if (std::strcmp(a, "--tier-mode") == 0 &&
-                       i + 1 < argc) {
-                setTierMode("--tier-mode", argv[++i]);
-            } else if (std::strncmp(a, "--tier-mode=", 12) == 0) {
-                setTierMode("--tier-mode", a + 12);
+            } else if ((v = flagValue("--trace-buffer-events", argc, argv,
+                                      i))) {
+                traceBufferEvents_ =
+                    parseCount<uint64_t>("--trace-buffer-events", v);
+            } else if ((v = flagValue("--trace-tags", argc, argv, i))) {
+                addTraceTags(v);
+            } else if ((v = flagValue("--tier-mode", argc, argv, i))) {
+                setTierMode("--tier-mode", v);
             } else if (std::strncmp(a, "--tier-mode:", 12) == 0) {
                 setTierMode("--tier-mode", a + 12);
             } else if (std::strcmp(a, "--profile") == 0) {
@@ -251,49 +253,37 @@ class Session
                 profilePaths_.push_back(a + 10);
             } else if (std::strncmp(a, "--profile=", 10) == 0) {
                 profilePaths_.push_back(a + 10);
-            } else if (std::strcmp(a, "--profile-interval") == 0 &&
-                       i + 1 < argc) {
-                profileInterval_ = std::strtoull(argv[++i], nullptr, 10);
-            } else if (std::strncmp(a, "--profile-interval=", 19) == 0) {
-                profileInterval_ = std::strtoull(a + 19, nullptr, 10);
-            } else if (std::strcmp(a, "--inject") == 0 && i + 1 < argc) {
-                setInject(argv[++i]);
-            } else if (std::strncmp(a, "--inject=", 9) == 0) {
-                setInject(a + 9);
-            } else if (std::strcmp(a, "--storm-threshold") == 0 &&
-                       i + 1 < argc) {
-                stormThreshold_ = uint32_t(std::strtoul(argv[++i],
-                                                        nullptr, 10));
-            } else if (std::strncmp(a, "--storm-threshold=", 18) == 0) {
-                stormThreshold_ = uint32_t(std::strtoul(a + 18, nullptr,
-                                                        10));
-            } else if (std::strcmp(a, "--blacklist-cooldown") == 0 &&
-                       i + 1 < argc) {
-                blacklistCooldown_ = uint32_t(std::strtoul(argv[++i],
-                                                           nullptr, 10));
-            } else if (std::strncmp(a, "--blacklist-cooldown=", 21) ==
-                       0) {
-                blacklistCooldown_ = uint32_t(std::strtoul(a + 21,
-                                                           nullptr, 10));
-            } else if (std::strcmp(a, "--compile-budget") == 0 &&
-                       i + 1 < argc) {
-                compileBudgetOps_ = uint32_t(std::strtoul(argv[++i],
-                                                          nullptr, 10));
-            } else if (std::strncmp(a, "--compile-budget=", 17) == 0) {
-                compileBudgetOps_ = uint32_t(std::strtoul(a + 17, nullptr,
-                                                          10));
-            } else if (std::strcmp(a, "--max-traces") == 0 &&
-                       i + 1 < argc) {
-                maxTraces_ = uint32_t(std::strtoul(argv[++i], nullptr,
-                                                   10));
-            } else if (std::strncmp(a, "--max-traces=", 13) == 0) {
-                maxTraces_ = uint32_t(std::strtoul(a + 13, nullptr, 10));
+            } else if ((v = flagValue("--profile-interval", argc, argv,
+                                      i))) {
+                profileInterval_ =
+                    parseCount<uint64_t>("--profile-interval", v);
+            } else if ((v = flagValue("--inject", argc, argv, i))) {
+                setInject("--inject", v);
+            } else if ((v = flagValue("--storm-threshold", argc, argv,
+                                      i))) {
+                stormThreshold_ =
+                    parseCount<uint32_t>("--storm-threshold", v);
+            } else if ((v = flagValue("--blacklist-cooldown", argc, argv,
+                                      i))) {
+                blacklistCooldown_ =
+                    parseCount<uint32_t>("--blacklist-cooldown", v);
+            } else if ((v = flagValue("--compile-budget", argc, argv,
+                                      i))) {
+                compileBudgetOps_ =
+                    parseCount<uint32_t>("--compile-budget", v);
+            } else if ((v = flagValue("--max-traces", argc, argv, i))) {
+                maxTraces_ = parseCount<uint32_t>("--max-traces", v);
             }
         }
         if (!tierModeSet_) {
             const char *env = std::getenv("XLVM_TIER_MODE");
             if (env && *env)
                 setTierMode("XLVM_TIER_MODE", env);
+        }
+        if (!inject_) {
+            const char *env = std::getenv("XLVM_INJECT");
+            if (env && *env)
+                setInject("XLVM_INJECT", env);
         }
         if (tracePaths_.empty()) {
             const char *env = std::getenv("XLVM_TRACE");
@@ -335,34 +325,75 @@ class Session
         traceBuilder_.setProvenance(std::move(prov));
     }
 
-    /** Copy the fault-containment knobs into one run's options. The
-     *  XLVM_INJECT env hatch is resolved by the runner so per-run specs
-     *  stay overridable from a sweep script. */
+    /** Copy the fault-containment knobs that were given into one run's
+     *  options; the rest keep the RunOptions defaults. */
     void
     applyRobustness(driver::RunOptions &o) const
     {
-        if (!inject_.empty())
-            o.inject = inject_;
-        if (stormThreshold_ != kUnsetU32)
-            o.stormThreshold = stormThreshold_;
-        if (blacklistCooldown_ != kUnsetU32)
-            o.blacklistCooldown = blacklistCooldown_;
-        if (compileBudgetOps_ != kUnsetU32)
-            o.compileBudgetOps = compileBudgetOps_;
-        if (maxTraces_ != kUnsetU32)
-            o.maxTraces = maxTraces_;
+        if (inject_)
+            o.inject = *inject_;
+        if (stormThreshold_)
+            o.stormThreshold = *stormThreshold_;
+        if (blacklistCooldown_)
+            o.blacklistCooldown = *blacklistCooldown_;
+        if (compileBudgetOps_)
+            o.compileBudgetOps = *compileBudgetOps_;
+        if (maxTraces_)
+            o.maxTraces = *maxTraces_;
     }
 
-    /** Validate an --inject spec up front; a malformed spec is a hard
-     *  error (a silently ignored chaos trigger would make a CI sweep
-     *  pass without testing anything). */
+    /** The value of @p flag when argv[i] is "--flag V" (consuming V) or
+     *  "--flag=V"; "" when V is missing; nullptr for any other arg. */
+    static const char *
+    flagValue(const char *flag, int argc, char **argv, int &i)
+    {
+        const size_t n = std::strlen(flag);
+        if (std::strncmp(argv[i], flag, n) != 0)
+            return nullptr;
+        if (argv[i][n] == '=')
+            return argv[i] + n + 1;
+        if (argv[i][n] != '\0')
+            return nullptr;
+        return i + 1 < argc ? argv[++i] : "";
+    }
+
+    /** Parse numeric flag @p flag's value: plain decimal digits in T's
+     *  range. Anything else (empty, a sign, trailing garbage, too large)
+     *  is a hard error — a silently zeroed or defaulted knob would run
+     *  a different configuration than the one asked for. */
+    template <typename T>
+    static T
+    parseCount(const char *flag, const char *text)
+    {
+        const bool digits =
+            *text && text[std::strspn(text, "0123456789")] == '\0';
+        errno = 0;
+        const unsigned long long v =
+            digits ? std::strtoull(text, nullptr, 10) : 0;
+        if (!digits || errno == ERANGE ||
+            v > std::numeric_limits<T>::max()) {
+            std::fprintf(stderr,
+                         "%s: expected an integer in [0, %llu], got "
+                         "'%s'\n",
+                         flag,
+                         (unsigned long long)std::numeric_limits<T>::max(),
+                         text);
+            std::exit(2);
+        }
+        return T(v);
+    }
+
+    /** Validate an inject spec from @p source (the flag or the env
+     *  variable) up front; a malformed spec is a hard error from either
+     *  (a silently ignored chaos trigger would make a CI sweep pass
+     *  without testing anything). */
     void
-    setInject(const char *spec)
+    setInject(const char *source, const char *spec)
     {
         rt::FaultEngine probe;
         std::string err;
         if (!probe.configure(spec, &err)) {
-            std::fprintf(stderr, "%s\n", err.c_str());
+            std::fprintf(stderr, "%s: %s\n", source, err.c_str());
             std::exit(2);
         }
         inject_ = spec;
@@ -432,14 +463,13 @@ class Session
     /** "--profile-interval": sampling period in modeled cycles. */
     uint64_t profileInterval_ = 0;
     report::ProfileBuilder profileBuilder_{"profile"};
-    /** Sentinel: flag not given, keep the RunOptions default. */
-    static constexpr uint32_t kUnsetU32 = ~0u;
-    /** "--inject": fault-injection spec applied to every run. */
-    std::string inject_;
-    uint32_t stormThreshold_ = kUnsetU32;
-    uint32_t blacklistCooldown_ = kUnsetU32;
-    uint32_t compileBudgetOps_ = kUnsetU32;
-    uint32_t maxTraces_ = kUnsetU32;
+    /** "--inject"/XLVM_INJECT: fault-injection spec for every run. The
+     *  containment knobs below are unset unless their flag was given. */
+    std::optional<std::string> inject_;
+    std::optional<uint32_t> stormThreshold_;
+    std::optional<uint32_t> blacklistCooldown_;
+    std::optional<uint32_t> compileBudgetOps_;
+    std::optional<uint32_t> maxTraces_;
 };
 
 /**

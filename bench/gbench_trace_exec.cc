@@ -5,12 +5,6 @@
  * canonical loops the vm-layer unit tests use). This is the benchmark
  * the threaded-code/micro-op engine's speedup target is measured on.
  *
- * The fusion on/off variants toggle superinstruction fusion through the
- * XLVM_NO_FUSE environment escape hatch (checked at Backend::compile
- * time), so the source also builds against engines that predate the
- * in-config toggle — which is exactly what the before/after comparison
- * needs.
- *
  * The BM_SimCore_* group isolates the simulation layer: a hot trace
  * body is stepped through a bare sim::Core with no executor dispatch in
  * the loop, once plain and once with the cycle sampler armed. Both
@@ -21,7 +15,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "jit/opt.h"
@@ -68,8 +61,9 @@ registerTrace(vm::VmContext &ctx, jit::Recorder &rec)
 
 /**
  * "while i < limit: i += 1" over boxed ints — the canonical meta-trace
- * (guard_class, getfield, int_lt+guard_true, int_add_ovf+guard_no_
- * overflow, virtualized re-box, jump). The hot int-arithmetic loop.
+ * (guard_class, getfield, int_lt, guard_true, int_add_ovf,
+ * guard_no_overflow, virtualized re-box, jump). The hot int-arithmetic
+ * loop.
  */
 jit::Trace *
 buildCountingLoop(vm::VmContext &ctx, void *code, int64_t limit)
@@ -94,9 +88,9 @@ buildCountingLoop(vm::VmContext &ctx, void *code, int64_t limit)
 }
 
 /**
- * A branchy, guard-heavy loop body: five guards per iteration (four of
- * them fusible compare→guard / ovf→guard pairs), plus masking
- * arithmetic between them. Models the polymorphic-dispatch-style traces
+ * A branchy, guard-heavy loop body: five guards per iteration (four
+ * compare→guard pairs and one overflow guard), plus masking arithmetic
+ * between them. Models the polymorphic-dispatch-style traces
  * where dispatch overhead, not arithmetic, dominates.
  */
 jit::Trace *
@@ -131,19 +125,6 @@ buildBranchyLoop(vm::VmContext &ctx, void *code, int64_t limit)
 
 constexpr int64_t kIters = 4096; ///< loop iterations per executor entry
 
-/** RAII toggle for the XLVM_NO_FUSE escape hatch. */
-struct ScopedNoFuse
-{
-    explicit ScopedNoFuse(bool disable)
-    {
-        if (disable)
-            setenv("XLVM_NO_FUSE", "1", 1);
-        else
-            unsetenv("XLVM_NO_FUSE");
-    }
-    ~ScopedNoFuse() { unsetenv("XLVM_NO_FUSE"); }
-};
-
 /** Modeled cycles per simulated instruction — deterministic for a given
  *  workload, so the bench guard pins it against drift. */
 double
@@ -158,10 +139,8 @@ modeledCpi(const sim::Core &core)
 
 void
 runTraceExecBench(benchmark::State &state,
-                  jit::Trace *(*build)(vm::VmContext &, void *, int64_t),
-                  bool noFuse)
+                  jit::Trace *(*build)(vm::VmContext &, void *, int64_t))
 {
-    ScopedNoFuse guard(noFuse);
     vm::VmContext ctx;
     int code;
     jit::Trace *t = build(ctx, &code, kIters);
@@ -180,30 +159,16 @@ runTraceExecBench(benchmark::State &state,
 void
 BM_TraceExec_HotLoop(benchmark::State &state)
 {
-    runTraceExecBench(state, buildCountingLoop, false);
+    runTraceExecBench(state, buildCountingLoop);
 }
 BENCHMARK(BM_TraceExec_HotLoop);
 
 void
-BM_TraceExec_HotLoop_NoFuse(benchmark::State &state)
-{
-    runTraceExecBench(state, buildCountingLoop, true);
-}
-BENCHMARK(BM_TraceExec_HotLoop_NoFuse);
-
-void
 BM_TraceExec_Branchy(benchmark::State &state)
 {
-    runTraceExecBench(state, buildBranchyLoop, false);
+    runTraceExecBench(state, buildBranchyLoop);
 }
 BENCHMARK(BM_TraceExec_Branchy);
-
-void
-BM_TraceExec_Branchy_NoFuse(benchmark::State &state)
-{
-    runTraceExecBench(state, buildBranchyLoop, true);
-}
-BENCHMARK(BM_TraceExec_Branchy_NoFuse);
 
 // ---- sim-layer microbenchmarks ---------------------------------------
 

@@ -1,6 +1,5 @@
 #include "driver/runner.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -33,21 +32,6 @@ vmKindName(VmKind k)
 
 namespace {
 
-/** XLVM_INJECT env hatch: overrides RunOptions::inject when set (the
- *  same precedence as the other hatches; "none"/"off" disarm, useful
- *  to neutralize a spec baked into a sweep script). */
-std::string
-injectWithEnv(const std::string &from_opts)
-{
-    const char *e = std::getenv("XLVM_INJECT");
-    if (!e)
-        return from_opts;
-    std::string s(e);
-    if (s == "none" || s == "off")
-        return std::string();
-    return s;
-}
-
 vm::VmConfig
 configFor(const RunOptions &opts)
 {
@@ -76,7 +60,6 @@ configFor(const RunOptions &opts)
     cfg.jit.loopThreshold = opts.loopThreshold;
     cfg.jit.bridgeThreshold = opts.bridgeThreshold;
     cfg.jit.irNodeAnnotations = opts.irAnnotations;
-    cfg.jit.fuseMicroOps = opts.jitFuseMicroOps;
     cfg.jit.optVirtualize = opts.optVirtualize;
     cfg.jit.optHeapCache = opts.optHeapCache;
     cfg.jit.optElideGuards = opts.optElideGuards;
@@ -90,7 +73,7 @@ configFor(const RunOptions &opts)
     cfg.jit.blacklistCooldown = opts.blacklistCooldown;
     cfg.jit.compileBudgetOps = opts.compileBudgetOps;
     cfg.jit.maxTraces = opts.maxTraces;
-    cfg.inject = injectWithEnv(opts.inject);
+    cfg.inject = opts.inject;
     {
         // Validate here so a malformed spec is a clean per-run error
         // (RunResult::error via the invalid_argument path) instead of
@@ -98,7 +81,7 @@ configFor(const RunOptions &opts)
         rt::FaultEngine probe;
         std::string err;
         if (!probe.configure(cfg.inject, &err))
-            throw std::invalid_argument("bad --inject spec: " + err);
+            throw std::invalid_argument("bad inject spec: " + err);
     }
     cfg.maxInstructions = opts.maxInstructions;
     cfg.phaseTimelineBin = opts.timelineBin;
@@ -221,8 +204,6 @@ collect(vm::VmContext &ctx, RunResult &out)
             site.tier = t->tier;
             site.guardIdx = g.guardIdx;
             site.guardOp = jit::irOpName(g.op);
-            site.mop = jit::mopName(jit::MOp(g.mop));
-            site.fused = g.fused;
             site.originPc = g.originPc;
             site.failCount = gs.failCount;
             site.bridgeTraceId = gs.bridgeTraceId;

@@ -48,12 +48,11 @@ struct RunOptions
     uint64_t workSampleInstrs = 50000;
     uint32_t loopThreshold = 1039;
     uint32_t bridgeThreshold = 200;
-    /** Superinstruction fusion in the trace execution engine (host
-     *  dispatch only; modeled counters are invariant). */
-    bool jitFuseMicroOps = true;
     /** Read by nothing in the simulator: perfbench/ is their only user
-     *  and copies them into sim::CoreParams. They named the sim replay
-     *  layers, which were removed (DESIGN.md section 7). */
+     *  and copies them into vm::JitParams and sim::CoreParams. They
+     *  named the trace executor's superinstruction fusion and the sim
+     *  replay layers, which were removed (DESIGN.md sections 5 and 7). */
+    bool jitFuseMicroOps = true;
     bool simMemo = true;
     bool simSuperblock = true;
     /** Optimizer ablation toggles. */
@@ -91,8 +90,9 @@ struct RunOptions
     uint64_t profileIntervalCycles = 0;
     /**
      * Fault-injection spec (rt::FaultEngine grammar: "site:nth" entries,
-     * comma-separated); empty = disarmed, zero-cost. The XLVM_INJECT
-     * env hatch overrides. Trigger counters are visit-based, so an
+     * comma-separated); empty = disarmed, zero-cost. The runner uses it
+     * as given; the bench harness (bench_common.h) is the one place that
+     * reads XLVM_INJECT. Trigger counters are visit-based, so an
      * injected failure is deterministic and --jobs-invariant.
      */
     std::string inject;
@@ -116,8 +116,6 @@ struct DeoptSite
     uint8_t tier = 2;          ///< tier of the owning trace at collection
     uint32_t guardIdx = 0;     ///< Trace::ops index of the guard
     std::string guardOp;       ///< IR opcode name (e.g. "guard_true")
-    std::string mop;           ///< executing micro-op (fused pair name)
-    bool fused = false;        ///< dispatched as a superinstruction
     uint32_t originPc = 0;     ///< bytecode pc of the producing site
     uint64_t failCount = 0;
     int32_t bridgeTraceId = -1; ///< attached bridge, or -1
@@ -238,8 +236,8 @@ struct RunResult
     std::vector<xlayer::AotFunctionStats> aotFunctions;
 
     // Latency distributions (schema v6 latency section; always on —
-    // host-side histograms of modeled cycles, invariant under every
-    // replay/fusion/sampling toggle, so they are golden-gated).
+    // host-side histograms of modeled cycles, invariant under
+    // sampling, so they are golden-gated).
     common::Histogram iterationLatency; ///< back-edge to back-edge
     common::Histogram executionLength;  ///< trace entry to exit
 

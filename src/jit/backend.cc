@@ -1,17 +1,7 @@
 #include "jit/backend.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace xlvm {
 namespace jit {
-
-bool
-fusionDisabledByEnv()
-{
-    const char *e = std::getenv("XLVM_NO_FUSE");
-    return e && *e && std::strcmp(e, "0") != 0;
-}
 
 uint32_t
 loweredInstCount(IrOp op)
@@ -207,15 +197,9 @@ Backend::compileAtTier(Trace &trace, uint8_t tier)
         tiers.tier2CodeBytes += bytes;
     }
 
-    if (offsets.size() <= trace.id) {
-        offsets.resize(trace.id + 1);
-        nodeIds.resize(trace.id + 1);
+    if (programs.size() <= trace.id)
         programs.resize(trace.id + 1);
-    }
-    programs[trace.id] =
-        lowerTrace(trace, offs, ids, fuseMicroOps && !fusionDisabledByEnv());
-    offsets[trace.id] = std::move(offs);
-    nodeIds[trace.id] = std::move(ids);
+    programs[trace.id] = lowerTrace(trace, offs, ids);
 }
 
 MicroProgram &
@@ -223,20 +207,6 @@ Backend::program(uint32_t trace_id)
 {
     XLVM_ASSERT(trace_id < programs.size(), "trace not compiled");
     return programs[trace_id];
-}
-
-const std::vector<int32_t> &
-Backend::opNodeIds(uint32_t trace_id) const
-{
-    XLVM_ASSERT(trace_id < nodeIds.size(), "trace not compiled");
-    return nodeIds[trace_id];
-}
-
-const std::vector<uint32_t> &
-Backend::opOffsets(uint32_t trace_id) const
-{
-    XLVM_ASSERT(trace_id < offsets.size(), "trace not compiled");
-    return offsets[trace_id];
 }
 
 } // namespace jit

@@ -30,10 +30,6 @@ namespace jit {
 /** Synthetic instructions in the lowering of one IR op. */
 uint32_t loweredInstCount(IrOp op);
 
-/** True when the XLVM_NO_FUSE escape hatch disables superinstruction
- *  fusion for the whole process (differential testing / debugging). */
-bool fusionDisabledByEnv();
-
 /** Metadata for one compiled (countable) IR node. */
 struct IrNodeMeta
 {
@@ -60,10 +56,7 @@ struct TierStats
 class Backend
 {
   public:
-    explicit Backend(sim::CodeSpace &cs, bool fuse_micro_ops = true)
-        : codeSpace(cs), fuseMicroOps(fuse_micro_ops)
-    {
-    }
+    explicit Backend(sim::CodeSpace &cs) : codeSpace(cs) {}
 
     /**
      * Assemble @p trace at the optimizing tier: assigns codePc /
@@ -96,12 +89,6 @@ class Backend
 
     const TierStats &tierStats() const { return tiers; }
 
-    /** Per-op code offsets (parallel to trace.ops), for the executor. */
-    const std::vector<uint32_t> &opOffsets(uint32_t trace_id) const;
-
-    /** Per-op global IR-node id (-1 for labels/debug markers). */
-    const std::vector<int32_t> &opNodeIds(uint32_t trace_id) const;
-
     /** The pre-lowered micro-op program the executor dispatches over.
      *  Mutable: the executor patches handler pointers on first entry. */
     MicroProgram &program(uint32_t trace_id);
@@ -111,18 +98,13 @@ class Backend
 
     uint32_t totalIrNodesCompiled() const { return uint32_t(nodes.size()); }
 
-    bool fusionEnabled() const { return fuseMicroOps; }
-
   private:
     void compileAtTier(Trace &trace, uint8_t tier);
 
     sim::CodeSpace &codeSpace;
-    bool fuseMicroOps;
     TierStats tiers;
     std::vector<IrNodeMeta> nodes;
-    std::vector<std::vector<uint32_t>> offsets; ///< per trace id
-    std::vector<std::vector<int32_t>> nodeIds;  ///< per trace id
-    std::vector<MicroProgram> programs;         ///< per trace id
+    std::vector<MicroProgram> programs; ///< per trace id
 };
 
 } // namespace jit

@@ -260,7 +260,7 @@ MetricsRegistry::addRun(const driver::RunOptions &opts,
 
     // Latency distributions: percentiles of the always-on host-side
     // histograms (whole modeled cycles). Deterministic and invariant
-    // under fusion and sampling, hence golden-gated.
+    // under sampling, hence golden-gated.
     auto addHist = [&](const char *prefix,
                        const common::Histogram &h) {
         std::string section = std::string("latency/") + prefix;

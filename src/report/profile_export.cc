@@ -65,7 +65,6 @@ runProvenance(const driver::RunOptions &opts)
     p.set("scale", Json(uint64_t(opts.scale)));
     p.set("loop_threshold", Json(opts.loopThreshold));
     p.set("bridge_threshold", Json(opts.bridgeThreshold));
-    p.set("fuse_micro_ops", Json(opts.jitFuseMicroOps));
     p.set("ir_annotations", Json(opts.irAnnotations));
     p.set("inject", Json(opts.inject.empty() ? "off" : opts.inject));
     return p;
@@ -200,8 +199,6 @@ ProfileBuilder::addRun(const driver::RunOptions &opts,
         e.set("tier", Json(uint64_t(d.tier)));
         e.set("guard_idx", Json(uint64_t(d.guardIdx)));
         e.set("guard_op", Json(d.guardOp));
-        e.set("mop", Json(d.mop));
-        e.set("fused", Json(d.fused));
         e.set("origin_pc", Json(uint64_t(d.originPc)));
         e.set("fail_count", Json(d.failCount));
         e.set("bridge_trace", Json(int64_t(d.bridgeTraceId)));
@@ -626,17 +623,17 @@ formatProfileTree(const Json &tree)
 std::string
 formatProfileDeopts(const Json &deopts)
 {
-    std::string out = fmt("%-12s %6s %5s %6s %-18s %-28s %10s %8s %7s\n",
+    std::string out = fmt("%-12s %6s %5s %6s %-18s %10s %8s %7s\n",
                           "workload", "trace", "tier", "guard", "guard_op",
-                          "mop", "origin_pc", "fails", "bridge");
+                          "origin_pc", "fails", "bridge");
     for (const Json &e : deopts.items()) {
         const int64_t bridge =
             e.get("bridge_trace") ? e.get("bridge_trace")->asInt() : -1;
         out += fmt("%-12s %6" PRIu64 " %5" PRIu64 " %6" PRIu64
-                   " %-18s %-28s %10" PRIu64 " %8" PRIu64 " %7s\n",
+                   " %-18s %10" PRIu64 " %8" PRIu64 " %7s\n",
                    getS(e, "workload").c_str(), getU(e, "trace"),
                    getU(e, "tier"), getU(e, "guard_idx"),
-                   getS(e, "guard_op").c_str(), getS(e, "mop").c_str(),
+                   getS(e, "guard_op").c_str(),
                    getU(e, "origin_pc"), getU(e, "fail_count"),
                    bridge >= 0 ? fmt("%" PRId64, bridge).c_str() : "-");
     }

@@ -57,7 +57,7 @@ FaultEngine::configure(const std::string &spec, std::string *err)
             std::string kind = entry.substr(0, at);
             if (kind != "fault") {
                 if (err)
-                    *err = "--inject: unknown fault kind '" + kind + "'";
+                    *err = "unknown fault kind '" + kind + "'";
                 armed_ = false;
                 return false;
             }
@@ -76,7 +76,7 @@ FaultEngine::configure(const std::string &spec, std::string *err)
             if (nthStr.empty() || end == nullptr || *end != '\0' ||
                 v == 0) {
                 if (err) {
-                    *err = "--inject: bad visit ordinal '" + nthStr +
+                    *err = "bad visit ordinal '" + nthStr +
                            "' (want a positive integer)";
                 }
                 armed_ = false;
@@ -88,7 +88,7 @@ FaultEngine::configure(const std::string &spec, std::string *err)
         FaultSite site;
         if (!faultSiteFromString(siteName, &site)) {
             if (err) {
-                *err = "--inject: unknown site '" + siteName +
+                *err = "unknown site '" + siteName +
                        "' (recorder|optimizer|backend|trace_cache|"
                        "gc_hook)";
             }

@@ -3,19 +3,17 @@
  * Threaded-code trace execution over pre-decoded micro-ops.
  *
  * TraceExecutor::run dispatches over the micro-op program the backend
- * lowered at compile time (jit/lower.h): handlers are reached through a
- * computed-goto label table (function-less threaded dispatch; a switch
- * loop is the portable fallback), operands are direct register-file
+ * lowered at compile time (jit/lower.h), one handler per IR op: handlers
+ * are reached through a computed-goto label table indexed by IrOp
+ * (function-less threaded dispatch), operands are direct register-file
  * indices (constants were materialized into the file's tail at trace
- * entry), and per-op simulation metadata (code offsets, IR-node ids,
- * guard indices) is read inline from the micro-op.
+ * entry), and per-op simulation metadata (code offset, IR-node id,
+ * snapshot) is read inline from the micro-op.
  *
  * Counters-are-invariant contract: every handler emits exactly the
  * simulated instruction sequence (same PCs, same order) that the
- * pre-rewrite switch interpreter emitted for the corresponding IR ops —
- * including fused superinstructions, which emit both constituents'
- * expansions around a single host dispatch. The tests/golden/ gate
- * holds the engine to that bit-for-bit.
+ * pre-rewrite switch interpreter emitted for its IR op. The
+ * tests/golden/ gate holds the engine to that bit-for-bit.
  */
 
 #include "vm/executor.h"
@@ -31,7 +29,6 @@ namespace vm {
 using jit::IrOp;
 using jit::MicroOp;
 using jit::MicroProgram;
-using jit::MOp;
 using jit::ResOp;
 using jit::RtVal;
 using jit::Trace;
@@ -88,15 +85,6 @@ flattenState(const DeoptResult &state)
 
 } // namespace
 
-// Threaded dispatch: computed goto under GCC/Clang, switch fallback
-// elsewhere (or with -DXLVM_NO_COMPUTED_GOTO for A/B comparison).
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(XLVM_NO_COMPUTED_GOTO)
-#define XLVM_CGOTO 1
-#else
-#define XLVM_CGOTO 0
-#endif
-
 DeoptResult
 TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
 {
@@ -118,13 +106,17 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     uint64_t steps = 0;
     DeoptResult deoptOut;
 
-#if XLVM_CGOTO
-    // Handler addresses, filled by explicit micro-opcode index so the
-    // mapping cannot drift from the MOp enum order. Label addresses are
-    // function-local, hence the table is built here and cached into each
-    // program's pre-resolved handler slots on its first entry.
-    const void *labels[jit::kNumMOps] = {};
-#define XLVM_LBL(name) labels[size_t(MOp::name)] = &&L_##name
+    // Handler addresses, one slot per IrOp plus the trap sentinel's.
+    // Every slot starts at Unimpl (an IR op with no executor semantics,
+    // e.g. new_array), then the handled ops are filled by explicit IrOp
+    // index so the mapping cannot drift from the enum order. Label
+    // addresses are function-local, hence the table is built here and
+    // cached into each program's pre-resolved handler slots on its
+    // first entry.
+    const void *labels[jit::kNumIrOps + 1];
+    for (const void *&l : labels)
+        l = &&L_Unimpl;
+#define XLVM_LBL(name) labels[size_t(IrOp::name)] = &&L_##name
     XLVM_LBL(Label);
     XLVM_LBL(DebugMergePoint);
     XLVM_LBL(Jump);
@@ -187,41 +179,15 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     XLVM_LBL(CallPure);
     XLVM_LBL(CallMayForce);
     XLVM_LBL(CallAssembler);
-    XLVM_LBL(FuseLtGuardTrue);
-    XLVM_LBL(FuseLtGuardFalse);
-    XLVM_LBL(FuseLeGuardTrue);
-    XLVM_LBL(FuseLeGuardFalse);
-    XLVM_LBL(FuseEqGuardTrue);
-    XLVM_LBL(FuseEqGuardFalse);
-    XLVM_LBL(FuseNeGuardTrue);
-    XLVM_LBL(FuseNeGuardFalse);
-    XLVM_LBL(FuseGtGuardTrue);
-    XLVM_LBL(FuseGtGuardFalse);
-    XLVM_LBL(FuseGeGuardTrue);
-    XLVM_LBL(FuseGeGuardFalse);
-    XLVM_LBL(FuseIsZeroGuardTrue);
-    XLVM_LBL(FuseIsZeroGuardFalse);
-    XLVM_LBL(FuseIsTrueGuardTrue);
-    XLVM_LBL(FuseIsTrueGuardFalse);
-    XLVM_LBL(FuseGetfieldGuardClass);
-    XLVM_LBL(FuseAddOvfGuard);
-    XLVM_LBL(FuseSubOvfGuard);
-    XLVM_LBL(FuseMulOvfGuard);
-    XLVM_LBL(Unimpl);
-    XLVM_LBL(TrapEnd);
 #undef XLVM_LBL
-#endif // XLVM_CGOTO
+    labels[size_t(jit::kTrapOpcode)] = &&L_TrapEnd;
 
     auto resolveHandlers = [&](MicroProgram &p) {
-#if XLVM_CGOTO
         if (p.resolved)
             return;
         for (MicroOp &m : p.ops)
-            m.handler = labels[m.opcode];
+            m.handler = labels[size_t(m.opcode)];
         p.resolved = true;
-#else
-        (void)p;
-#endif
     };
 
     // Per-tier cycle attribution: close the interval running since the
@@ -319,17 +285,15 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
      * annotation, then either transfer into an attached bridge (returns
      * false; caller restarts dispatch at the bridge program) or
      * materialize the deopt state into deoptOut (returns true; caller
-     * leaves). Works identically for plain and fused guards — the
-     * micro-op carries the guard constituent's op index, snapshot and
-     * code offset.
+     * leaves).
      */
     auto guardFail = [&](const MicroOp &m) -> bool {
-        jit::GuardState &gs = t->guardStates[m.guardIdx];
+        jit::GuardState &gs = t->guardStates[m.origIdx];
         ++gs.failCount;
         ++nDeopts;
         {
-            sim::BlockEmitter ed(core, codePc + m.pcOff2 + 8);
-            ed.annot(xlayer::kDeopt, m.guardIdx);
+            sim::BlockEmitter ed(core, codePc + m.pcOff + 8);
+            ed.annot(xlayer::kDeopt, m.origIdx);
         }
         const jit::Snapshot &snap = t->snapshots[m.snapshotIdx];
         if (gs.bridgeTraceId >= 0) {
@@ -340,7 +304,7 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
             if (bridgeIn.size() != bridge->numInputs) {
                 // Shape mismatch (shouldn't happen): hard deopt.
                 deoptOut = blackholeMaterialize(space, *t, snap, regs,
-                                                m.guardIdx);
+                                                m.origIdx);
                 return true;
             }
             enterTrace(bridge, bridgeIn);
@@ -348,8 +312,8 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
             return false;
         }
         if (gs.failCount == params.bridgeThreshold)
-            hotGuards.emplace_back(t->id, m.guardIdx);
-        deoptOut = blackholeMaterialize(space, *t, snap, regs, m.guardIdx);
+            hotGuards.emplace_back(t->id, m.origIdx);
+        deoptOut = blackholeMaterialize(space, *t, snap, regs, m.origIdx);
         return true;
     };
 
@@ -459,13 +423,8 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
 
     mop = prog->ops.data();
 
-#if XLVM_CGOTO
 #define OP(name) L_##name
 #define DISPATCH() goto *mop->handler
-#else
-#define OP(name) case MOp::name
-#define DISPATCH() goto dispatch_loop
-#endif
 
 // DISPATCH leaves a handler's scope through a computed goto, on which
 // GCC runs no destructors: a handler may hold no local that owns memory
@@ -500,12 +459,6 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
     if (annotate && mop->nodeId >= 0)                                   \
     e.annot(xlayer::kIrNode, uint32_t(mop->nodeId))
 
-/** Prologue of a fused pair's second (guard) constituent. */
-#define BEGIN2()                                                        \
-    sim::BlockEmitter e2(core, codePc + mop->pcOff2);                   \
-    if (annotate && mop->nodeId2 >= 0)                                  \
-    e2.annot(xlayer::kIrNode, uint32_t(mop->nodeId2))
-
 #define RA (R[mop->arg[0]])
 #define RB (R[mop->arg[1]])
 #define RC (R[mop->arg[2]])
@@ -516,12 +469,7 @@ TraceExecutor::run(Trace &trace, std::vector<RtVal> inputs)
             R[mop->res] = (v);                                          \
     } while (0)
 
-#if XLVM_CGOTO
     DISPATCH();
-#else
-dispatch_loop:
-    switch (MOp(mop->opcode)) {
-#endif
 
     // ---- control ----------------------------------------------------
     OP(Label) : {
@@ -1062,97 +1010,14 @@ dispatch_loop:
         NEXT();
     }
 
-    // ---- superinstructions ------------------------------------------
-    // Each fused handler emits the exact instruction stream of its two
-    // constituents (two emitters at the constituents' own code offsets)
-    // around a single host dispatch.
-
-#define FUSED_CMP_GUARD(NAME, COND, ON_TRUE)                            \
-    OP(NAME) : {                                                        \
-        BEGIN();                                                        \
-        e.alu(2);                                                       \
-        bool cond = (COND);                                             \
-        SETRES(RtVal::fromInt(cond));                                   \
-        BEGIN2();                                                       \
-        e2.alu(1);                                                      \
-        bool ok = (ON_TRUE) ? cond : !cond;                             \
-        e2.branch(!ok);                                                 \
-        if (__builtin_expect(ok, 1))                                    \
-            NEXT();                                                     \
-        GUARD_EXIT();                                                   \
-    }
-
-    FUSED_CMP_GUARD(FuseLtGuardTrue, RA.i < RB.i, true)
-    FUSED_CMP_GUARD(FuseLtGuardFalse, RA.i < RB.i, false)
-    FUSED_CMP_GUARD(FuseLeGuardTrue, RA.i <= RB.i, true)
-    FUSED_CMP_GUARD(FuseLeGuardFalse, RA.i <= RB.i, false)
-    FUSED_CMP_GUARD(FuseEqGuardTrue, RA.i == RB.i, true)
-    FUSED_CMP_GUARD(FuseEqGuardFalse, RA.i == RB.i, false)
-    FUSED_CMP_GUARD(FuseNeGuardTrue, RA.i != RB.i, true)
-    FUSED_CMP_GUARD(FuseNeGuardFalse, RA.i != RB.i, false)
-    FUSED_CMP_GUARD(FuseGtGuardTrue, RA.i > RB.i, true)
-    FUSED_CMP_GUARD(FuseGtGuardFalse, RA.i > RB.i, false)
-    FUSED_CMP_GUARD(FuseGeGuardTrue, RA.i >= RB.i, true)
-    FUSED_CMP_GUARD(FuseGeGuardFalse, RA.i >= RB.i, false)
-    FUSED_CMP_GUARD(FuseIsZeroGuardTrue, RA.i == 0, true)
-    FUSED_CMP_GUARD(FuseIsZeroGuardFalse, RA.i == 0, false)
-    FUSED_CMP_GUARD(FuseIsTrueGuardTrue, RA.i != 0, true)
-    FUSED_CMP_GUARD(FuseIsTrueGuardFalse, RA.i != 0, false)
-
-#undef FUSED_CMP_GUARD
-
-    OP(FuseGetfieldGuardClass) : {
-        BEGIN();
-        W_Object *w = asObj(RA);
-        e.loadPtrOff(w, 8 + uint64_t(mop->aux) * 8, loadStall);
-        RtVal v = w->rtGetField(mop->aux);
-        SETRES(v);
-        BEGIN2();
-        W_Object *w2 = asObj(v);
-        e2.loadPtr(w2, loadStall);
-        e2.alu(1);
-        bool ok = w2 && w2->typeId() == mop->aux2;
-        e2.branch(!ok);
-        if (__builtin_expect(ok, 1))
-            NEXT();
-        GUARD_EXIT();
-    }
-
-#define FUSED_OVF_GUARD(NAME, BUILTIN)                                  \
-    OP(NAME) : {                                                        \
-        BEGIN();                                                        \
-        e.alu(1);                                                       \
-        int64_t r;                                                      \
-        pendingOverflow = BUILTIN(RA.i, RB.i, &r);                      \
-        SETRES(RtVal::fromInt(r));                                      \
-        BEGIN2();                                                       \
-        bool ok = !pendingOverflow;                                     \
-        e2.branch(!ok);                                                 \
-        if (__builtin_expect(ok, 1))                                    \
-            NEXT();                                                     \
-        GUARD_EXIT();                                                   \
-    }
-
-    FUSED_OVF_GUARD(FuseAddOvfGuard, __builtin_add_overflow)
-    FUSED_OVF_GUARD(FuseSubOvfGuard, __builtin_sub_overflow)
-    FUSED_OVF_GUARD(FuseMulOvfGuard, __builtin_mul_overflow)
-
-#undef FUSED_OVF_GUARD
-
     // ---- engine-internal --------------------------------------------
     OP(Unimpl) : {
-        XLVM_PANIC("executor: unhandled op ",
-                   jit::irOpName(IrOp(mop->aux2)));
+        XLVM_PANIC("executor: unhandled op ", jit::irOpName(mop->opcode));
     }
 
     OP(TrapEnd) : {
         XLVM_PANIC("executor: ran off trace end (trace ", t->id, ")");
     }
-
-#if !XLVM_CGOTO
-    }
-    XLVM_PANIC("executor: bad micro-opcode ", mop->opcode);
-#endif
 
 #undef OP
 #undef DISPATCH
@@ -1160,7 +1025,6 @@ dispatch_loop:
 #undef RESTART
 #undef GUARD_EXIT
 #undef BEGIN
-#undef BEGIN2
 #undef RA
 #undef RB
 #undef RC

@@ -71,9 +71,10 @@ struct JitParams
     /** Emit kIrNode annotations during trace execution. */
     bool irNodeAnnotations = false;
     bool enableJit = true;
-    /** Fuse compare→guard / getfield→guard_class / int-ovf→guard pairs
-     *  into superinstructions at trace-lowering time (host dispatch win
-     *  only; the modeled instruction stream is invariant). */
+    /** Read by nothing in the VM: perfbench/ is its only user and
+     *  copies the matching driver::RunOptions field into it. It named
+     *  the trace executor's superinstruction fusion, which was removed
+     *  (DESIGN.md section 5). */
     bool fuseMicroOps = true;
     /** Optimizer toggles (ablations). */
     bool optFoldConstants = true;

@@ -290,7 +290,8 @@ TEST(Backend, CompileAssignsCodeAndNodeIds)
 
     EXPECT_GT(t.codePc, 0u);
     EXPECT_GT(t.codeInsts, 0u);
-    EXPECT_EQ(backend.opOffsets(0).size(), t.ops.size());
+    // One micro-op per IR op plus the trap sentinel.
+    EXPECT_EQ(backend.program(0).ops.size(), t.ops.size() + 1);
     // Countable nodes exclude label + debug_merge_point.
     EXPECT_EQ(backend.totalIrNodesCompiled(), t.countIrNodes());
     for (const auto &m : backend.nodeMeta())

@@ -1,21 +1,16 @@
 /**
  * @file
- * Micro-op pre-lowering and superinstruction-fusion tests.
+ * Micro-op pre-lowering tests.
  *
- * The engine's load-bearing invariant is that fusion (and pre-lowering
- * in general) changes host dispatch only — every modeled counter must be
- * bit-identical with fusion on or off. The differential tests here run
- * the same traces and the same end-to-end workload under both settings
- * (via the JitParams toggle and via the XLVM_NO_FUSE escape hatch) and
- * compare results and counters exactly. The unit tests pin down the
- * pre-decoder's register-file layout and the fusion pass's pairing.
+ * The lowered program is 1:1 with Trace::ops — each micro-op's opcode is
+ * its IR op — plus one trap sentinel, and the executor's handler table
+ * sends every IR op without semantics to a panic that names it. These
+ * tests pin that shape and the pre-decoder's register-file layout; the
+ * tests/golden/ gate pins the counters the executor emits.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "driver/runner.h"
 #include "jit/opt.h"
 #include "jit/recorder.h"
 #include "vm/context.h"
@@ -27,7 +22,6 @@ namespace {
 using jit::BoxType;
 using jit::IrOp;
 using jit::kNoArg;
-using jit::MOp;
 using jit::RtVal;
 
 jit::Snapshot
@@ -77,14 +71,6 @@ registerCountingLoop(VmContext &ctx, void *code, int64_t limit)
     return ctx.registry.add(std::move(optimized));
 }
 
-VmConfig
-configWithFusion(bool fuse)
-{
-    VmConfig cfg;
-    cfg.jit.fuseMicroOps = fuse;
-    return cfg;
-}
-
 // ---- pre-decoder unit tests ------------------------------------------
 
 TEST(MicroOpLowering, RegisterFileLayoutAndConstMapping)
@@ -121,135 +107,48 @@ TEST(MicroOpLowering, ProgramEndsInTrapSentinel)
     jit::Trace *t = registerCountingLoop(ctx, &code, 10);
     const jit::MicroProgram &prog = ctx.backend.program(t->id);
     ASSERT_FALSE(prog.ops.empty());
-    EXPECT_EQ(MOp(prog.ops.back().opcode), MOp::TrapEnd);
+    EXPECT_EQ(prog.ops.back().opcode, jit::kTrapOpcode);
 }
 
-TEST(MicroOpLowering, FusesComparePairsWhenEnabled)
-{
-    VmContext on(configWithFusion(true));
-    VmContext off(configWithFusion(false));
-    int codeOn, codeOff;
-    jit::Trace *tOn = registerCountingLoop(on, &codeOn, 10);
-    jit::Trace *tOff = registerCountingLoop(off, &codeOff, 10);
-
-    const jit::MicroProgram &pOn = on.backend.program(tOn->id);
-    const jit::MicroProgram &pOff = off.backend.program(tOff->id);
-
-    // int_lt+guard_true and int_add_ovf+guard_no_overflow must fuse.
-    EXPECT_GE(pOn.fusedPairs, 2u);
-    EXPECT_EQ(pOff.fusedPairs, 0u);
-    // Each fused pair removes one micro-op from the stream.
-    EXPECT_EQ(pOn.ops.size() + pOn.fusedPairs, pOff.ops.size());
-
-    bool sawFused = false;
-    for (const jit::MicroOp &m : pOn.ops)
-        sawFused |= jit::isFusedMOp(MOp(m.opcode));
-    EXPECT_TRUE(sawFused);
-    for (const jit::MicroOp &m : pOff.ops)
-        EXPECT_FALSE(jit::isFusedMOp(MOp(m.opcode)));
-}
-
-TEST(MicroOpLowering, FusedOpCarriesGuardMetadata)
+TEST(MicroOpLowering, OneMicroOpPerIrOp)
 {
     VmContext ctx;
     int code;
     jit::Trace *t = registerCountingLoop(ctx, &code, 10);
     const jit::MicroProgram &prog = ctx.backend.program(t->id);
-    for (const jit::MicroOp &m : prog.ops) {
-        if (!jit::isFusedMOp(MOp(m.opcode)))
-            continue;
-        // The guard constituent is the following IR op; deopt metadata
-        // (guard index, snapshot, code offset) must point at it.
-        EXPECT_EQ(m.guardIdx, m.origIdx + 1);
-        EXPECT_GE(m.snapshotIdx, 0);
-        EXPECT_GT(m.pcOff2, m.pcOff);
+
+    // ops[i] is trace.ops[i]; the trap sentinel is the only extra op.
+    ASSERT_EQ(prog.ops.size(), t->ops.size() + 1);
+    for (size_t i = 0; i < t->ops.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(prog.ops[i].opcode, t->ops[i].op);
+        EXPECT_EQ(prog.ops[i].origIdx, i);
     }
+    EXPECT_EQ(prog.ops.back().opcode, jit::kTrapOpcode);
 }
 
-TEST(MicroOpLowering, EnvEscapeHatchDisablesFusion)
+TEST(MicroOpLoweringDeathTest, OpWithoutSemanticsPanicsWithItsName)
 {
-    setenv("XLVM_NO_FUSE", "1", 1);
-    VmContext ctx; // fuseMicroOps defaults to true; env must override
-    int code;
-    jit::Trace *t = registerCountingLoop(ctx, &code, 10);
-    EXPECT_EQ(ctx.backend.program(t->id).fusedPairs, 0u);
-    unsetenv("XLVM_NO_FUSE");
-
-    VmContext ctx2;
-    int code2;
-    jit::Trace *t2 = registerCountingLoop(ctx2, &code2, 10);
-    EXPECT_GE(ctx2.backend.program(t2->id).fusedPairs, 2u);
-}
-
-// ---- differential: fusion must not change any observable -------------
-
-TEST(FusionDifferential, HandBuiltLoopResultsAndCountersIdentical)
-{
-    const int64_t limit = 5000;
-    VmContext on(configWithFusion(true));
-    VmContext off(configWithFusion(false));
-    int codeOn, codeOff;
-    jit::Trace *tOn = registerCountingLoop(on, &codeOn, limit);
-    jit::Trace *tOff = registerCountingLoop(off, &codeOff, limit);
-    ASSERT_GE(on.backend.program(tOn->id).fusedPairs, 2u);
-
-    DeoptResult rOn =
-        on.executor.run(*tOn, {RtVal::fromRef(on.space.newInt(0))});
-    DeoptResult rOff =
-        off.executor.run(*tOff, {RtVal::fromRef(off.space.newInt(0))});
-
-    // Same architectural result...
-    ASSERT_EQ(rOn.frames.size(), 1u);
-    ASSERT_EQ(rOff.frames.size(), 1u);
-    ASSERT_EQ(rOn.frames[0].stack.size(), 1u);
-    EXPECT_EQ(
-        static_cast<obj::W_Int *>(rOn.frames[0].stack[0])->value,
-        static_cast<obj::W_Int *>(rOff.frames[0].stack[0])->value);
-    EXPECT_EQ(rOn.guardOpIdx, rOff.guardOpIdx);
-
-    // ...and a bit-identical modeled machine.
-    sim::PerfCounters cOn = on.core.totalCounters();
-    sim::PerfCounters cOff = off.core.totalCounters();
-    EXPECT_EQ(cOn.instructions, cOff.instructions);
-    EXPECT_EQ(cOn.cycles(), cOff.cycles());
-    EXPECT_EQ(on.executor.deoptCount(), off.executor.deoptCount());
-    EXPECT_EQ(on.executor.iterationCount(),
-              off.executor.iterationCount());
-}
-
-TEST(FusionDifferential, EndToEndWorkloadCountersIdentical)
-{
-    driver::RunOptions base;
-    base.workload = "crypto_pyaes";
-    base.scale = 60;
-    base.vm = driver::VmKind::PyPyJit;
-    base.loopThreshold = 60;
-
-    driver::RunOptions fused = base;
-    fused.jitFuseMicroOps = true;
-    driver::RunOptions unfused = base;
-    unfused.jitFuseMicroOps = false;
-
-    driver::RunResult a = driver::runWorkload(fused);
-    driver::RunResult b = driver::runWorkload(unfused);
-
-    ASSERT_TRUE(a.completed);
-    ASSERT_TRUE(b.completed);
-    EXPECT_EQ(a.output, b.output);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.deopts, b.deopts);
-    EXPECT_EQ(a.traceEnters, b.traceEnters);
-    EXPECT_EQ(a.loopsCompiled, b.loopsCompiled);
-    EXPECT_EQ(a.bridgesCompiled, b.bridgesCompiled);
-    EXPECT_EQ(a.gcMinor, b.gcMinor);
-    EXPECT_EQ(a.gcMajor, b.gcMajor);
-    EXPECT_EQ(a.gcAllocations, b.gcAllocations);
-    EXPECT_EQ(a.icacheHits, b.icacheHits);
-    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
-    EXPECT_EQ(a.dcacheHits, b.dcacheHits);
-    EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
-    EXPECT_EQ(a.work, b.work);
+    // new_array has no executor handler, so its table slot keeps the
+    // Unimpl default. Compile the raw recording (no optimizer pass) so
+    // the op reaches the program.
+    EXPECT_DEATH(
+        {
+            VmContext ctx;
+            int code;
+            jit::Recorder rec(&code, 3, false);
+            rec.setAnchorLocals(1);
+            int32_t in0 = rec.addInputRef(ctx.space.newInt(0));
+            rec.atMergePoint(0, [&] { return frameSnap(&code, 3, {in0}); });
+            rec.emit(IrOp::NewArray, rec.constInt(4));
+            rec.closeLoop({in0});
+            auto raw = std::make_unique<jit::Trace>(rec.take());
+            raw->id = ctx.registry.nextId();
+            ctx.backend.compile(*raw);
+            jit::Trace *t = ctx.registry.add(std::move(raw));
+            ctx.executor.run(*t, {RtVal::fromRef(ctx.space.newInt(0))});
+        },
+        "unhandled op new_array");
 }
 
 } // namespace

@@ -258,7 +258,6 @@ TEST(DeoptAttribution, SitesCarryProvenance)
     for (const driver::DeoptSite &d : r.deoptSites) {
         EXPECT_GT(d.failCount, 0u);
         EXPECT_FALSE(d.guardOp.empty());
-        EXPECT_FALSE(d.mop.empty());
         EXPECT_GE(d.tier, 1u);
     }
     // Symbols cover every registered trace; every deopt site's trace
