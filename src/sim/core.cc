@@ -62,15 +62,6 @@ Core::totalCounters() const
 }
 
 uint64_t
-Core::totalInstructions() const
-{
-    uint64_t n = 0;
-    for (const auto &b : buckets)
-        n += b.instructions;
-    return n;
-}
-
-uint64_t
 Core::totalCyclesFp() const
 {
     uint64_t c = 0;
@@ -96,6 +87,7 @@ Core::resetStats()
 {
     for (auto &b : buckets)
         b = PerfCounters();
+    totalInsts_ = 0;
     icache.reset();
     dcache.reset();
     branchUnit.reset();

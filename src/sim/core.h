@@ -218,6 +218,7 @@ class Core
         }
 
         ++pc.instructions;
+        ++totalInsts_;
         uint64_t cost = issueCostFp;
 
         if (!icache.access(inst.pc)) {
@@ -298,6 +299,7 @@ class Core
             return;
         PerfCounters &pc = buckets[bucket];
         pc.instructions += n;
+        totalInsts_ += n;
         uint64_t cost =
             uint64_t(n) * (issueCostFp + uint64_t(extra_lat) * kCycleFp +
                            classCostFp(cls));
@@ -362,7 +364,8 @@ class Core
     /** Sum of all buckets. */
     PerfCounters totalCounters() const;
 
-    uint64_t totalInstructions() const;
+    /** Retired instructions over all buckets, kept as they retire. */
+    uint64_t totalInstructions() const { return totalInsts_; }
     /** Exact whole-run cycle count in kCycleFp units (all buckets). */
     uint64_t totalCyclesFp() const;
     double totalCycles() const;
@@ -430,6 +433,8 @@ class Core
     AnnotSink *sink = nullptr;
     uint32_t bucket = 0;
     std::array<PerfCounters, kMaxBuckets> buckets;
+    /** Sum of buckets[*].instructions, bumped beside them. */
+    uint64_t totalInsts_ = 0;
 
     /** Cycle-sampler state; interval 0 = disarmed (hot-path gate). */
     CycleSampleSink *sampleSink_ = nullptr;

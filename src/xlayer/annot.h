@@ -93,6 +93,9 @@ enum AnnotTag : uint32_t
     kCompileDowngrade = 26,
 };
 
+/** The largest assigned AnnotTag; move it when adding a larger one. */
+constexpr uint32_t kMaxAnnotTag = kCompileDowngrade;
+
 } // namespace xlayer
 } // namespace xlvm
 

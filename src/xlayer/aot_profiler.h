@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "xlayer/annot.h"
 #include "xlayer/bus.h"
 
 namespace xlvm {
@@ -38,6 +39,12 @@ class AotCallProfiler : public AnnotListener
     ~AotCallProfiler() override;
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
+
+    bool
+    ignoresTag(uint32_t tag) const override
+    {
+        return tag != kAotEnter && tag != kAotExit;
+    }
 
     /**
      * Per-function stats sorted by descending cycles.

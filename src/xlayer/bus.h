@@ -2,15 +2,17 @@
  * @file
  * AnnotationBus — the PinTool analog.
  *
- * The bus receives every annotation the core observes and fans it out to
- * registered listeners (profilers). Listeners are the analysis "tools" of
- * the methodology: phase breakdown, work-rate/warmup tracking, AOT-call
- * attribution, IR-node statistics.
+ * The bus receives every annotation the core observes and hands it to the
+ * registered listeners (profilers) that subscribe to its tag. Listeners
+ * are the analysis "tools" of the methodology: phase breakdown,
+ * work-rate/warmup tracking, AOT-call attribution, IR-node statistics.
  */
 
 #ifndef XLVM_XLAYER_BUS_H
 #define XLVM_XLAYER_BUS_H
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "sim/core.h"
@@ -27,9 +29,13 @@ class AnnotListener
     virtual void onAnnot(uint32_t tag, uint32_t payload) = 0;
 
     /**
-     * Read by nothing in the simulator: perfbench/ is its only user and
-     * overrides it. It fed the removed sim replay layers' purity check
-     * (DESIGN.md section 7).
+     * The listener's subscription: the bus delivers a tag below
+     * AnnotationBus::kRoutedTags only to the listeners that do not ignore
+     * it. The bus reads it whenever a listener is added or removed, so the
+     * answer must depend only on state fixed at construction. A listener
+     * that ignores a tag its onAnnot acts on loses those events; one that
+     * takes a tag it does nothing with only costs a call. The default
+     * takes every tag.
      */
     virtual bool ignoresTag(uint32_t /*tag*/) const { return false; }
 };
@@ -37,6 +43,11 @@ class AnnotListener
 class AnnotationBus : public sim::AnnotSink
 {
   public:
+    /** Tags below this are routed by subscription; the rest reach all. */
+    static constexpr uint32_t kRoutedTags = 32;
+    static_assert(kMaxAnnotTag < kRoutedTags,
+                  "every AnnotTag must be routed by subscription");
+
     explicit AnnotationBus(sim::Core &core) : core_(core)
     {
         core.setAnnotSink(this);
@@ -45,28 +56,45 @@ class AnnotationBus : public sim::AnnotSink
     void
     onAnnot(uint32_t tag, uint32_t payload) override
     {
-        for (AnnotListener *l : listeners)
+        for (AnnotListener *l : tag < kRoutedTags ? byTag[tag] : listeners)
             l->onAnnot(tag, payload);
     }
 
-    void addListener(AnnotListener *l) { listeners.push_back(l); }
+    void
+    addListener(AnnotListener *l)
+    {
+        listeners.push_back(l);
+        route();
+    }
 
     void
     removeListener(AnnotListener *l)
     {
-        for (size_t i = 0; i < listeners.size(); ++i) {
-            if (listeners[i] == l) {
-                listeners.erase(listeners.begin() + i);
-                return;
-            }
-        }
+        auto it = std::find(listeners.begin(), listeners.end(), l);
+        if (it != listeners.end())
+            listeners.erase(it);
+        route();
     }
 
     sim::Core &core() { return core_; }
 
   private:
+    /** Rebuild every tag's list from ignoresTag, in registration order. */
+    void
+    route()
+    {
+        for (uint32_t tag = 0; tag < kRoutedTags; ++tag) {
+            byTag[tag].clear();
+            for (AnnotListener *l : listeners) {
+                if (!l->ignoresTag(tag))
+                    byTag[tag].push_back(l);
+            }
+        }
+    }
+
     sim::Core &core_;
-    std::vector<AnnotListener *> listeners;
+    std::vector<AnnotListener *> listeners; ///< registration order
+    std::array<std::vector<AnnotListener *>, kRoutedTags> byTag;
 };
 
 } // namespace xlayer

@@ -15,6 +15,19 @@ EventProfiler::~EventProfiler()
     bus_.removeListener(this);
 }
 
+bool
+EventProfiler::ignoresTag(uint32_t tag) const
+{
+    // Exactly the cases of the switch in onAnnot.
+    constexpr uint32_t kCounted =
+        1u << kLoopCompiled | 1u << kBridgeCompiled | 1u << kTraceAborted |
+        1u << kTraceBlacklisted | 1u << kTraceRearmed |
+        1u << kTraceEvicted | 1u << kCompileDowngrade | 1u << kTraceEnter |
+        1u << kDeopt | 1u << kGcMinor | 1u << kGcMajor | 1u << kAppEvent |
+        1u << kTierUp | 1u << kTier1Compile;
+    return tag >= 32 || !((kCounted >> tag) & 1u);
+}
+
 void
 EventProfiler::onAnnot(uint32_t tag, uint32_t payload)
 {

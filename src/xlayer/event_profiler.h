@@ -20,6 +20,7 @@ class EventProfiler : public AnnotListener
     ~EventProfiler() override;
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
+    bool ignoresTag(uint32_t tag) const override;
 
     uint64_t loopsCompiled = 0;
     uint64_t bridgesCompiled = 0;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "xlayer/annot.h"
 #include "xlayer/bus.h"
 
 namespace xlvm {
@@ -27,6 +28,7 @@ class IrNodeProfiler : public AnnotListener
     ~IrNodeProfiler() override;
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
+    bool ignoresTag(uint32_t tag) const override { return tag != kIrNode; }
 
     /** Dynamic execution count per global IR node id. */
     const std::vector<uint64_t> &execCounts() const { return counts; }

@@ -50,6 +50,14 @@ PhaseProfiler::maybeCloseBin()
     }
 }
 
+bool
+PhaseProfiler::ignoresTag(uint32_t tag) const
+{
+    // Timeline bins close on whatever annotation follows the boundary
+    // (maybeCloseBin below), so a binning profiler takes every tag.
+    return binInstrs == 0 && tag != kPhaseEnter && tag != kPhaseExit;
+}
+
 void
 PhaseProfiler::onAnnot(uint32_t tag, uint32_t payload)
 {

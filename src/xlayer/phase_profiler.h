@@ -41,6 +41,9 @@ class PhaseProfiler : public AnnotListener
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
 
+    /** Phase tags only, or every tag while recording a timeline. */
+    bool ignoresTag(uint32_t tag) const override;
+
     Phase currentPhase() const;
 
     /** Final per-phase counters (valid after the run). */
@@ -67,7 +70,7 @@ class PhaseProfiler : public AnnotListener
 
     AnnotationBus &bus_;
     std::vector<Phase> stack;
-    uint64_t binInstrs;
+    const uint64_t binInstrs;
     std::vector<PhaseTimelineBin> bins;
     std::array<double, kNumPhases> binStartCycles{};
     uint64_t nextBinEnd = 0;

@@ -13,11 +13,14 @@
  *
  * Overhead discipline:
  *  - Disabled (capacityEvents == 0): the tracer never subscribes to the
- *    bus, so the annotation hot path pays nothing beyond the bus's
- *    existing listener loop — not even a branch inside the tracer.
- *  - Enabled: one tag-mask test, one O(buckets) timestamp read, and one
- *    store into a pre-decoded ring slot. No allocation after a chunk is
- *    first touched, no I/O during the run.
+ *    bus, so the annotation hot path never reaches it.
+ *  - Enabled: the tag mask is the tracer's bus subscription
+ *    (ignoresTag), so the bus does not call the tracer for a tag outside
+ *    it; the kDispatch and kIrNode firehoses cost it nothing by default.
+ *    A recorded tag costs one O(buckets) timestamp read and one store
+ *    into a pre-decoded ring slot. No allocation after a chunk is first
+ *    touched, no I/O during the run. onAnnot repeats the mask test for
+ *    callers that bypass the bus.
  *
  * Ring semantics: the buffer holds the most recent capacityEvents
  * records. When full it wraps and overwrites the oldest records, each
@@ -131,6 +134,13 @@ class EventTracer : public AnnotListener
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
 
+    /** The tag mask is the subscription. */
+    bool
+    ignoresTag(uint32_t tag) const override
+    {
+        return tag >= 32 || !((tagMask_ >> tag) & 1u);
+    }
+
     bool enabled() const { return capacity_ != 0; }
     uint64_t capacityEvents() const { return capacity_; }
 
@@ -181,7 +191,7 @@ class EventTracer : public AnnotListener
 
     AnnotationBus &bus_;
     uint64_t capacity_;
-    uint32_t tagMask_;
+    const uint32_t tagMask_;
     uint8_t runId_;
     bool subscribed_ = false;
     uint64_t total_ = 0; ///< events ever recorded

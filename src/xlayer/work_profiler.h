@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "xlayer/annot.h"
 #include "xlayer/bus.h"
 
 namespace xlvm {
@@ -42,6 +43,7 @@ class WorkRateProfiler : public AnnotListener
     ~WorkRateProfiler() override;
 
     void onAnnot(uint32_t tag, uint32_t payload) override;
+    bool ignoresTag(uint32_t tag) const override { return tag != kDispatch; }
 
     uint64_t totalWork() const { return work; }
     const std::vector<WorkSample> &samples() const { return samples_; }

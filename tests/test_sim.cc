@@ -195,6 +195,17 @@ TEST(Core, MispredictsCostCycles)
     EXPECT_LT(a.totalCycles(), b.totalCycles());
 }
 
+/** totalInstructions() is kept as instructions retire; it must equal
+ *  the sum over the buckets. */
+void
+expectTotalIsBucketSum(const Core &core)
+{
+    uint64_t sum = 0;
+    for (uint32_t b = 0; b < kMaxBuckets; ++b)
+        sum += core.bucketCounters(b).instructions;
+    EXPECT_EQ(core.totalInstructions(), sum);
+}
+
 TEST(Core, BucketsSeparateCounters)
 {
     Core core;
@@ -207,6 +218,23 @@ TEST(Core, BucketsSeparateCounters)
     EXPECT_EQ(core.bucketCounters(0).instructions, 5u);
     EXPECT_EQ(core.bucketCounters(2).instructions, 7u);
     EXPECT_EQ(core.totalInstructions(), 12u);
+    expectTotalIsBucketSum(core);
+
+    // The single-instruction consume path: a load and a branch retire,
+    // an annotation does not.
+    uint64_t word = 0;
+    core.setBucket(5);
+    BlockEmitter e5(core, 0x600000);
+    e5.loadPtr(&word);
+    EXPECT_EQ(core.totalInstructions(), 13u);
+    expectTotalIsBucketSum(core);
+    e5.branch(true);
+    EXPECT_EQ(core.totalInstructions(), 14u);
+    expectTotalIsBucketSum(core);
+    e5.annot(7, 1);
+    EXPECT_EQ(core.totalInstructions(), 14u);
+    expectTotalIsBucketSum(core);
+    EXPECT_EQ(core.bucketCounters(5).instructions, 2u);
 }
 
 class RecordingSink : public AnnotSink
@@ -263,9 +291,28 @@ TEST(Core, ResetStats)
     Core core;
     BlockEmitter e(core, 0x400000);
     e.alu(5);
+    uint64_t word = 0;
+    core.setBucket(3);
+    e.loadPtr(&word);
+    e.branch(false);
+    e.annot(7, 1);
+    expectTotalIsBucketSum(core);
     core.resetStats();
     EXPECT_EQ(core.totalInstructions(), 0u);
     EXPECT_EQ(core.totalCycles(), 0.0);
+    expectTotalIsBucketSum(core);
+
+    // Counting restarts from zero on both consume paths.
+    BlockEmitter e2(core, 0x500000);
+    e2.alu(4);
+    EXPECT_EQ(core.totalInstructions(), 4u);
+    expectTotalIsBucketSum(core);
+    core.setBucket(1);
+    e2.loadPtr(&word);
+    e2.branch(true);
+    e2.annot(8, 0);
+    EXPECT_EQ(core.totalInstructions(), 6u);
+    expectTotalIsBucketSum(core);
 }
 
 TEST(Core, ResetStatsClearsMicroarchState)
